@@ -1,10 +1,12 @@
 """Parameter scans, method comparison, and table serialization.
 
 A scan walks the grid sites x fillings x u_over_j x thetas x eins x methods
-in that nesting order and emits one row per point.  Diagonalization is the
-only expensive step, so the worker pool parallelizes over (L, N, U/J)
-spectrum units while rows are assembled serially in grid order; output is
-byte-identical for any worker count.
+in that nesting order and emits one row per point.  The momentum-block
+diagonalization is the only expensive step, so the worker pool
+parallelizes over (L, N, U/J) spectrum units while rows are assembled
+serially in grid order; output is byte-identical for any worker count.
+A unit keeps only its channel table and weights, O(dim) numbers, for the
+rest of the scan, and the disk cache stores exactly that.
 """
 
 from __future__ import annotations
@@ -105,7 +107,12 @@ def validate_plan(plan: ScanPlan) -> None:
 
 
 def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
-    """Diagonalize one (L, N, U/J) sector, honoring the disk cache."""
+    """Channel table and weights of one (L, N, U/J) sector, honoring the cache.
+
+    A cache entry is used only when its checksum holds and its header names
+    this sector; anything else is recomputed and overwritten.  A hit needs
+    no basis and no eigenvectors.
+    """
     N = nu * L
     key = cache_key(u)
     path = None
@@ -113,19 +120,22 @@ def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
         path = spectrum_cache_path(plan.cache_dir, L, N, key)
         if os.path.exists(path):
             try:
-                _, _, _, spec = load_spectrum(path, plan.j_er)
+                cached_L, cached_N, cached_key, spec, weights = load_spectrum(
+                    path, plan.j_er)
             except (ValueError, OSError):
-                pass  # unreadable cache entry: recompute and overwrite below
+                pass  # unreadable or unverified entry: recompute and overwrite
             else:
-                basis = enumerate_basis(L, N, cap=plan.dim_cap)
-                return spec, ground_matrix_elements(spec, basis)
+                if (cached_L, cached_N, cached_key) == (L, N, key):
+                    return spec, weights
     basis = enumerate_basis(L, N, cap=plan.dim_cap)
     lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
     spec = diagonalize(build_hamiltonian(basis, InteractionSpec(U_over_J=u), lattice))
+    weights = ground_matrix_elements(spec, basis)
+    spec = spec.channel_table()
     if path:
         os.makedirs(plan.cache_dir, exist_ok=True)
-        save_spectrum(path, L, N, key, spec)
-    return spec, ground_matrix_elements(spec, basis)
+        save_spectrum(path, L, N, key, spec, weights)
+    return spec, weights
 
 
 def _blank_row(L: int, nu: int, u: float, theta: float, ein: float,
@@ -154,8 +164,8 @@ def _evaluate(plan: ScanPlan, spectra: dict, L: int, nu: int, u: float,
             entry = spectra[(L, nu, cache_key(u))]
             if isinstance(entry, Exception):
                 raise entry
-            spec, me = entry
-            rec = inelastic_cs_exact(spec, me, lattice, probe, u_over_j=u)
+            spec, weights = entry
+            rec = inelastic_cs_exact(spec, weights, lattice, probe, u_over_j=u)
         elif method == "sce":
             rec = inelastic_cs_sce(lattice, probe, inter, gap_order=plan.gap_order)
             row["gap_order"] = str(plan.gap_order)

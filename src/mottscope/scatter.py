@@ -1,5 +1,9 @@
-"""Elastic and inelastic cross sections from the exact eigenspectrum.
+"""Elastic and inelastic cross sections from the exact channel table.
 
+The exact sums run over the momentum-resolved table of spectrum.py: on the
+ring every eigenstate has a lattice momentum K, so its site-resolved
+density amplitudes are one weight times a plane wave, and the lattice sum
+is the same interference kernel that the strong-coupling channels use.
 Every cross section is the angular density normalized by N and by the
 squared scattering length, in the diagonal (density-coupling) impulse
 approximation.  Channels with negative kinematic radicand are closed and
@@ -89,13 +93,26 @@ def _echo(lattice: LatticeSpec, probe: ProbeSpec, u_over_j) -> dict:
     }
 
 
-def inelastic_cs_exact(spectrum, me_table: np.ndarray, lattice: LatticeSpec,
+def _lattice_sum(kappa_d, k, L: int):
+    """interference(kappa, K, L) for K = 2 pi k / L, at the image of K nearest kappa.
+
+    The kernel has period 2 pi in kappa - K.  Near kappa - K = 2 pi m with
+    m != 0, the rounding of L (kappa - K) / 2 is not small against the sine
+    it feeds (it moved one L=7 cross section by 3e-10 relative).  Shifting k
+    by a multiple of L keeps the argument in [-pi, pi], where it is.
+    """
+    k = k + L * np.round(np.asarray(kappa_d) / (2.0 * math.pi) - np.asarray(k) / L)
+    return interference(kappa_d, 2.0 * math.pi * k / L, L)
+
+
+def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
                        probe: ProbeSpec, u_over_j=None) -> CrossSectionRecord:
     """Sum of all open excitation channels weighted by density matrix elements.
 
-    Each open eigenstate n != 0 contributes
-    sqrt(radicand) * |sum_j exp(i kappa_n d j) <n|n_j|0>|^2 * W(kappa_n)^2,
-    and the total is normalized by the particle number.
+    Each open eigenstate n != 0, of lattice momentum K_n, contributes
+    sqrt(radicand) * w_n * interference(kappa_n, K_n, L) * W(kappa_n)^2,
+    with w_n = |<n|n_0|0>|^2, and the total is normalized by the particle
+    number.
     """
     kin = channel_kinematics(spectrum.energies, probe)
     idx = np.flatnonzero(kin.open_mask)
@@ -106,8 +123,7 @@ def inelastic_cs_exact(spectrum, me_table: np.ndarray, lattice: LatticeSpec,
                                   warning="no_open_channels",
                                   contributing_count=0)
     kd = kin.kappa_d[idx]
-    phases = np.exp(1j * np.outer(kd, np.arange(lattice.L)))
-    structure = np.abs((phases * me_table[idx]).sum(axis=1)) ** 2
+    structure = weights[idx] * _lattice_sum(kd, spectrum.momentum[idx], lattice.L)
     terms = np.sqrt(kin.radicand[idx]) * structure * form_factor(kd, lattice.V0_Er) ** 2
     value = float(terms.sum() / lattice.N)
     # second open-channel bookkeeping: channels with actual spectral weight
@@ -117,13 +133,12 @@ def inelastic_cs_exact(spectrum, me_table: np.ndarray, lattice: LatticeSpec,
                               contributing_count=contributing)
 
 
-def elastic_cs_exact(spectrum, me_table: np.ndarray, lattice: LatticeSpec,
+def elastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
                      probe: ProbeSpec, u_over_j=None) -> CrossSectionRecord:
     """Ground-state channel evaluated at the elastic momentum transfer."""
     kappa_el = elastic_kappa(probe)
-    phases = np.exp(1j * kappa_el * np.arange(lattice.L))
-    amplitude = (phases * me_table[spectrum.ground_index]).sum()
-    value = float(np.abs(amplitude) ** 2
+    value = float(weights[spectrum.ground_index]
+                  * _lattice_sum(kappa_el, 0, lattice.L)
                   * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
     params = _echo(lattice, probe, u_over_j)
     params["channel"] = "elastic"

@@ -129,8 +129,16 @@ def density_matrix_element(q_d, k_d, nu: int, L: int):
     """Leading-order reduced density amplitude between pair state and ground.
 
     The full site-resolved matrix element is J_tilde * sqrt(2 nu (nu+1)) / L
-    times this quantity, times a pure phase in the site index.
+    times this quantity, times a pure phase in the site index.  Two scalars
+    take a math-module path that skips numpy's 0-d array overhead.
     """
+    if isinstance(q_d, (int, float)) and isinstance(k_d, (int, float)):
+        q, k = float(q_d), float(k_d)
+        z = math.atan2((nu + 1) * math.sin(q), (nu + 1) * math.cos(q) + nu)
+        a, b = 0.5 * q - z, -(0.5 * q + z * (L - 1))
+        return -2j * math.sin(k) * math.sin(0.5 * q) * (
+            complex(math.cos(a), math.sin(a))
+            + math.cos(k * L) * complex(math.cos(b), math.sin(b)))
     q_d = np.asarray(q_d, dtype=float)
     k_d = np.asarray(k_d, dtype=float)
     z = np.angle(effective_tunneling(q_d, nu))

@@ -1,15 +1,23 @@
-"""Hamiltonian assembly and full dense eigendecomposition.
+"""Hamiltonian assembly and momentum-resolved exact diagonalization.
 
 The matrix is assembled in units of J, where it depends on (L, N, U/J)
-only; recoil-unit energies are recovered by multiplying with J_Er.  All
-eigenpairs are kept because the scattering sums run over the complete
-excitation spectrum.
+only; recoil-unit energies are recovered by multiplying with J_Er.  On the
+ring, translation by one site commutes with the Hamiltonian, so the fixed-N
+sector splits into L Bloch blocks of lattice momentum K = 2 pi k / L.  Each
+block is solved completely, because the scattering sums run over the whole
+excitation spectrum.  Reflection maps K onto -K with the same spectrum and
+the same scattering weights, so only the blocks 0 <= k <= L/2 are solved.
+
+The result is a channel table: every eigenstate's energy and momentum, plus
+one weight |<n|n_0|0>|^2 per eigenstate.  That table is all the cross
+sections need, and all the disk cache stores.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +27,53 @@ from .config import InteractionSpec, LatticeSpec
 from .errors import ConvergenceError
 from .fock import FockBasis
 
-_CACHE_MAGIC = b"MWSPEC01"
+_CACHE_MAGIC = b"MWSPEC02"
+_CACHE_HEADER = struct.Struct("<IIQI")   # L, N, table length, key length
+_CACHE_CRC = struct.Struct("<I")
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """Translation orbits of a basis on the ring.
+
+    With T moving every boson one site to the right, state i equals
+    T^shift[i] applied to the representative of orbit index[i], the orbit's
+    lowest-index state.  size holds each orbit's period.
+    """
+
+    index: np.ndarray
+    shift: np.ndarray
+    size: np.ndarray
+
+
+def translation_orbits(basis: FockBasis) -> Orbits:
+    """Orbit, shift and period of every state from L vectorized rankings."""
+    occ = basis.occ
+    # images[i, s] is the index of T^s applied to state i
+    images = np.column_stack([basis.rank_rows(np.roll(occ, s, axis=1))
+                              for s in range(basis.L)])
+    to_rep = images.argmin(axis=1)
+    reps, index = np.unique(images[np.arange(len(basis)), to_rep],
+                            return_inverse=True)
+    size = basis.L // (images[reps] == reps[:, None]).sum(axis=1)
+    return Orbits(index=index, shift=(-to_rep) % basis.L, size=size)
+
+
+def _bloch_phase(k: int, shift: np.ndarray, L: int) -> np.ndarray:
+    """exp(2 pi i k shift / L); real for k = 0 and K = pi, where it is +-1."""
+    angle = 2.0 * np.pi * (k * shift % L) / L
+    if 2 * k % L == 0:
+        return np.cos(angle)
+    return np.exp(1j * angle)
 
 
 @dataclass
 class HamiltonianMatrix:
-    """Real symmetric matrix stored as a diagonal plus one off-diagonal triangle."""
+    """Real symmetric matrix stored as a diagonal plus one off-diagonal triangle.
+
+    orbits records the translation structure of the basis, from which the
+    Bloch blocks are assembled.
+    """
 
     dim: int
     diag: np.ndarray
@@ -32,6 +81,8 @@ class HamiltonianMatrix:
     cols: np.ndarray
     vals: np.ndarray
     scale_Er: float
+    L: int
+    orbits: Orbits
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim))
@@ -39,6 +90,33 @@ class HamiltonianMatrix:
         dense[self.rows, self.cols] = self.vals
         dense[self.cols, self.rows] = self.vals
         return dense
+
+    def bloch_block(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Orbits spanning momentum K = 2 pi k / L, and the block over them.
+
+        The Bloch state of an orbit of period p exists when K p is a
+        multiple of 2 pi.  With |r,K> = p^-1/2 sum_s e^{-iKs} T^s|r>, the
+        element <r',K|H|r,K> sums <j|H|r> e^{iK shift[j]} sqrt(p_r/p_r')
+        over the states j of orbit r'.
+        """
+        orb = self.orbits
+        allowed = np.flatnonzero(k * orb.size % self.L == 0)
+        column = np.full(orb.size.size, -1)
+        column[allowed] = np.arange(allowed.size)
+        states = np.arange(self.dim)
+        dst = np.concatenate([states, self.rows, self.cols])
+        src = np.concatenate([states, self.cols, self.rows])
+        val = np.concatenate([self.diag, self.vals, self.vals])
+        keep = orb.shift[src] == 0          # the source is a representative
+        dst, src, val = dst[keep], src[keep], val[keep]
+        a, b = column[orb.index[dst]], column[orb.index[src]]
+        keep = (a >= 0) & (b >= 0)
+        dst, src = dst[keep], src[keep]
+        amp = (val[keep] * _bloch_phase(k, orb.shift[dst], self.L)
+               * np.sqrt(orb.size[orb.index[src]] / orb.size[orb.index[dst]]))
+        block = np.zeros((allowed.size, allowed.size), dtype=amp.dtype)
+        np.add.at(block, (a[keep], b[keep]), amp)
+        return allowed, block
 
 
 def lattice_bonds(L: int):
@@ -77,52 +155,117 @@ def build_hamiltonian(basis: FockBasis, interaction: InteractionSpec,
         cols=np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64),
         vals=np.concatenate(vals) if vals else np.zeros(0),
         scale_Er=lattice.J_Er,
+        L=basis.L,
+        orbits=translation_orbits(basis),
     )
+
+
+@dataclass(frozen=True)
+class Eigenblock:
+    """Eigenpairs of one Bloch block and their rows in the channel table.
+
+    slots has one row for K and, when -K is a different momentum, a second
+    row for the reflected copies.
+    """
+
+    k: int
+    orbits: np.ndarray
+    vectors: np.ndarray
+    slots: np.ndarray
 
 
 @dataclass
 class Spectrum:
-    """Complete eigendecomposition; energies ascending, in E_r units.
+    """Channel table of one sector: every eigenstate's energy and momentum.
 
-    energies_J keeps the raw eigenvalues in units of J so that cached and
-    freshly computed spectra agree bit for bit.
+    Energies ascend, so the ground state is entry 0.  Entry n has lattice
+    momentum K = 2 pi momentum[n] / L.  energies_J keeps the raw eigenvalues
+    in units of J so that cached and freshly computed tables agree bit for
+    bit.  orbits and blocks hold the Bloch eigenvectors that
+    ground_matrix_elements needs; a table read from the cache has neither.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray
     energies_J: np.ndarray
+    momentum: np.ndarray
+    orbits: Orbits | None = None
+    blocks: tuple = ()
     ground_index: int = 0
 
     def __post_init__(self):
         self.energies.flags.writeable = False
-        self.vectors.flags.writeable = False
         self.energies_J.flags.writeable = False
+        self.momentum.flags.writeable = False
+
+    def channel_table(self) -> Spectrum:
+        """The same table without eigenvectors, as the cache stores it."""
+        return Spectrum(self.energies, self.energies_J, self.momentum)
 
 
 def diagonalize(h: HamiltonianMatrix) -> Spectrum:
-    """All eigenpairs of the assembled matrix."""
-    dense = h.to_dense()
-    try:
-        energies_j, vectors = scipy.linalg.eigh(
-            dense, driver="evd", check_finite=False, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    """All eigenpairs, one dense solve per Bloch block with 0 <= k <= L/2."""
+    L = h.L
+    solved, energies, momenta = [], [], []
+    for k in range(L // 2 + 1):
+        allowed, block = h.bloch_block(k)
+        if not allowed.size:
+            continue
+        try:
+            energies_k, vectors = scipy.linalg.eigh(
+                block, driver="evd", check_finite=False, overwrite_a=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"block eigensolver failed at k={k}: {exc}") from exc
+        partners = sorted({k, -k % L})
+        solved.append((k, allowed, vectors, len(partners)))
+        for q in partners:
+            energies.append(energies_k)
+            momenta.append(np.full(energies_k.size, q))
+    energies_j = np.concatenate(energies)
+    # k = 0 comes first, so the stable sort puts its lowest state, the
+    # unique ground state, at entry 0
+    order = np.argsort(energies_j, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    blocks, start = [], 0
+    for k, allowed, vectors, copies in solved:
+        n = allowed.size
+        slots = slot[start:start + copies * n].reshape(copies, n)
+        blocks.append(Eigenblock(k, allowed, vectors, slots))
+        start += copies * n
+    energies_j = energies_j[order]
     return Spectrum(
         energies=energies_j * h.scale_Er,
-        vectors=vectors,
         energies_J=energies_j,
+        momentum=np.concatenate(momenta)[order],
+        orbits=h.orbits,
+        blocks=tuple(blocks),
     )
 
 
 def ground_matrix_elements(spectrum: Spectrum, basis: FockBasis) -> np.ndarray:
-    """Table of <phi_n| n_j |phi_0> for every eigenstate n and site j.
+    """Weight w_n = |<n|n_0|0>|^2 of every eigenstate, in table order.
 
-    Row 0 holds the ground-state densities.  The number operators are
-    diagonal in the occupation basis, so the table is one dense product.
+    For an eigenstate of momentum K, <n|n_j|0> = e^{-iKj} <n|n_0|0>, so one
+    weight per eigenstate carries the whole site-resolved table.  The ground
+    state is the lowest state of the k = 0 block, whose Bloch basis spans
+    every orbit; the other k = 0 states have weight exactly 0.
     """
-    v0 = spectrum.vectors[:, spectrum.ground_index]
-    weighted = basis.occ.astype(float) * v0[:, None]
-    return spectrum.vectors.T @ weighted
+    orb = spectrum.orbits
+    ground = spectrum.blocks[0].vectors[:, 0]
+    occ0 = basis.occ[:, 0]
+    weights = np.empty(spectrum.energies.size)
+    for block in spectrum.blocks:
+        phase = _bloch_phase(block.k, orb.shift, basis.L)
+        fourier = np.zeros(orb.size.size, dtype=phase.dtype)
+        np.add.at(fourier, orb.index, phase * occ0)
+        cols = block.orbits
+        rhs = ground[cols] * fourier[cols] / orb.size[cols]
+        amplitude = block.vectors.conj().T @ rhs
+        if block.k == 0:
+            # <n|n_j|0> is the same on every site and sums to <n|N|0> = 0
+            amplitude[1:] = 0.0
+        weights[block.slots] = np.abs(amplitude) ** 2
+    return weights
 
 
 def cache_key(u_over_j: float) -> str:
@@ -134,47 +277,55 @@ def spectrum_cache_path(cache_dir: str, L: int, N: int, key: str) -> str:
     return os.path.join(cache_dir, f"L{L}_N{N}_U{key}.spec")
 
 
-def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum) -> None:
-    """Write eigenvalues (units of J) and eigenvectors as little-endian doubles.
+def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum,
+                  weights: np.ndarray) -> None:
+    """Write the channel table as little-endian data behind a checked header.
 
-    The file is published atomically so concurrent scans can share a cache
-    directory with a single writer per key.
+    Layout: magic, (L, N, table length, key length), key, energies in units
+    of J, weights, momentum indices, then a CRC-32 of everything after the
+    magic.  The file is published atomically so concurrent scans can share a
+    cache directory with a single writer per key.
     """
-    dim = spectrum.vectors.shape[0]
     key_bytes = key.encode("ascii")
+    body = b"".join([
+        _CACHE_HEADER.pack(L, N, spectrum.energies_J.size, len(key_bytes)),
+        key_bytes,
+        spectrum.energies_J.astype("<f8").tobytes(),
+        np.asarray(weights).astype("<f8").tobytes(),
+        spectrum.momentum.astype("<u4").tobytes(),
+    ])
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IIQI", L, N, dim, len(key_bytes)))
-        fh.write(key_bytes)
-        fh.write(spectrum.energies_J.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(spectrum.vectors).astype("<f8").tobytes())
+        fh.write(_CACHE_MAGIC + body + _CACHE_CRC.pack(zlib.crc32(body)))
     os.replace(tmp, path)
 
 
-def load_spectrum(path: str, J_Er: float) -> tuple[int, int, str, Spectrum]:
-    """Read a cached spectrum back; energies are rescaled with the given J_Er.
+def load_spectrum(path: str, J_Er: float) -> tuple[int, int, str, Spectrum, np.ndarray]:
+    """Read a cached channel table back as (L, N, key, spectrum, weights).
 
-    Raises ValueError for any malformed file, truncation included, so callers
-    can treat a damaged cache entry uniformly.
+    Energies are rescaled with the given J_Er.  Raises ValueError for any
+    file that is not in this format or fails its checksum, truncation
+    included, so callers can treat a damaged cache entry uniformly.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a spectrum cache file")
-        try:
-            L, N, dim, keylen = struct.unpack("<IIQI", fh.read(20))
-            key = fh.read(keylen).decode("ascii")
-            energies_j = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
-            vectors = np.frombuffer(fh.read(8 * dim * dim), dtype="<f8").copy()
-            vectors = vectors.reshape(dim, dim)
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
-            raise ValueError(f"{path}: corrupt spectrum cache file") from exc
-    if energies_j.shape != (dim,):
+        raw = fh.read()
+    if raw[:len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+        raise ValueError(f"{path}: not a spectrum cache file")
+    body, crc = raw[len(_CACHE_MAGIC):-_CACHE_CRC.size], raw[-_CACHE_CRC.size:]
+    if (len(body) < _CACHE_HEADER.size or len(crc) != _CACHE_CRC.size
+            or _CACHE_CRC.unpack(crc)[0] != zlib.crc32(body)):
         raise ValueError(f"{path}: corrupt spectrum cache file")
-    spectrum = Spectrum(
-        energies=energies_j * J_Er,
-        vectors=vectors,
-        energies_J=energies_j,
-    )
-    return int(L), int(N), key, spectrum
+    L, N, count, keylen = _CACHE_HEADER.unpack_from(body)
+    start = _CACHE_HEADER.size + keylen
+    if len(body) != start + 20 * count:
+        raise ValueError(f"{path}: corrupt spectrum cache file")
+    try:
+        key = body[_CACHE_HEADER.size:start].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: corrupt spectrum cache file") from exc
+    energies_j = np.frombuffer(body, "<f8", count, start).astype(float)
+    weights = np.frombuffer(body, "<f8", count, start + 8 * count).astype(float)
+    momentum = np.frombuffer(body, "<u4", count, start + 16 * count).astype(np.int64)
+    spectrum = Spectrum(energies=energies_j * J_Er, energies_J=energies_j,
+                        momentum=momentum)
+    return int(L), int(N), key, spectrum, weights

@@ -7,11 +7,12 @@ from mottscope.spectrum import build_hamiltonian, diagonalize, ground_matrix_ele
 
 @pytest.fixture(scope="session")
 def sector_factory():
-    """Memoized (lattice, basis, spectrum, matrix elements) per sector.
+    """Memoized (lattice, basis, channel table, weights) per sector.
 
     Diagonalizations dominate the suite runtime; sharing them across test
     modules keeps the whole run tractable without hidden state, since every
-    returned object is read-only.
+    returned object is read-only.  Like a scan, the memo keeps the channel
+    table without its eigenvectors.
     """
     cache = {}
 
@@ -23,7 +24,7 @@ def sector_factory():
             ham = build_hamiltonian(
                 basis, InteractionSpec(U_over_J=float(u_over_j)), lattice)
             spectrum = diagonalize(ham)
-            cache[key] = (lattice, basis, spectrum,
+            cache[key] = (lattice, basis, spectrum.channel_table(),
                           ground_matrix_elements(spectrum, basis))
         return cache[key]
 

@@ -57,6 +57,39 @@ def ground_vector(states, u_over_j):
     return w[0], v[:, 0]
 
 
+def dense_channel_table(states, u_over_j):
+    """Dense eigendecomposition and the site-resolved table <n|n_j|0>.
+
+    Returns (energies in units of J, ascending; table of shape (dim, L)).
+    This is the full solve the momentum-block path replaces: one eigh over
+    the whole sector and one (dim, dim) x (dim, L) product.
+    """
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(states, u_over_j))
+    occ = np.asarray(states, dtype=float)
+    return energies, vectors.T @ (occ * vectors[:, [0]])
+
+
+def dense_inelastic_cs(energies_j, table, J_Er, V0_Er, Ein_Er, theta,
+                       mass_ratio=1.0):
+    """Open-channel sum with the explicit site phase product.
+
+    Returns (cross section per particle, number of open excited channels).
+    """
+    L = table.shape[1]
+    N = table[0].sum()
+    kappa_el = -math.pi * math.sin(theta) * math.sqrt(mass_ratio * Ein_Er)
+    energies = energies_j * J_Er
+    radicand = 1.0 - (energies - energies[0]) / Ein_Er
+    idx = np.flatnonzero(radicand >= 0.0)
+    idx = idx[idx != 0]
+    kd = kappa_el * np.sqrt(radicand[idx])
+    phases = np.exp(1j * np.outer(kd, np.arange(L)))
+    structure = np.abs((phases * table[idx]).sum(axis=1)) ** 2
+    form = np.exp(-kd ** 2 / (4.0 * math.pi ** 2 * math.sqrt(V0_Er)))
+    value = (np.sqrt(radicand[idx]) * structure * form ** 2).sum() / round(N)
+    return float(value), int(idx.size)
+
+
 def density_fluctuation(states, gs_vec, kappa_d):
     """<rho+ rho> - |<rho>|^2 for rho = sum_j e^{i kappa d j} n_j.
 

@@ -114,6 +114,37 @@ def test_run_scan_cache_roundtrip_and_recovery(tmp_path):
     assert spec_file.read_bytes() == good_bytes
 
 
+def test_run_scan_recomputes_a_mislabelled_cache_entry(tmp_path):
+    # an entry renamed to another coupling's file is caught by its header
+    cache = tmp_path / "cache"
+    cold = rows_to_csv(run_scan(small_plan(methods=["exact"],
+                                           cache_dir=str(cache))))
+    run_scan(small_plan(methods=["exact"], u_over_j=[10.0],
+                        cache_dir=str(cache)))
+    here = cache / "L3_N3_U5.00000000000e+00.spec"
+    other = cache / "L3_N3_U1.00000000000e+01.spec"
+    good_bytes = here.read_bytes()
+    here.write_bytes(other.read_bytes())
+    warm = rows_to_csv(run_scan(small_plan(methods=["exact"],
+                                           cache_dir=str(cache))))
+    assert warm == cold
+    assert here.read_bytes() == good_bytes
+
+
+def test_run_scan_recomputes_a_flipped_bit(tmp_path):
+    # one flipped bit in a stored energy fails the checksum
+    cache = tmp_path / "cache"
+    plan = small_plan(methods=["exact"], cache_dir=str(cache))
+    cold = rows_to_csv(run_scan(plan))
+    spec_file = cache / "L3_N3_U5.00000000000e+00.spec"
+    good_bytes = spec_file.read_bytes()
+    damaged = bytearray(good_bytes)
+    damaged[8 + 20 + len("5.00000000000e+00") + 8 * 3] ^= 0x01
+    spec_file.write_bytes(damaged)
+    assert rows_to_csv(run_scan(plan)) == cold
+    assert spec_file.read_bytes() == good_bytes
+
+
 def test_run_scan_per_row_errors():
     # u = 0 is fine exactly but out of scope for both approximations
     rows = run_scan(small_plan(u_over_j=[0.0], methods=["exact", "sce", "mf"]))

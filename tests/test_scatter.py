@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
-from mottscope.scatter import (channel_kinematics, elastic_cs_exact,
-                               elastic_kappa, form_factor, inelastic_cs_exact,
-                               interference)
+from mottscope.scatter import (_lattice_sum, channel_kinematics,
+                               elastic_cs_exact, elastic_kappa, form_factor,
+                               inelastic_cs_exact, interference)
 
-from oracles import boson_states, density_fluctuation, ground_vector
+from oracles import (boson_states, dense_channel_table, dense_inelastic_cs,
+                     density_fluctuation, ground_vector)
 
 PROBE = ProbeSpec(Ein_Er=2.0, theta=0.99)
 
@@ -49,6 +50,19 @@ def test_interference():
     assert got[0] == 16.0
     assert got[1] == pytest.approx(abs(sum(np.exp(0.3j * j) for j in range(4))) ** 2,
                                    rel=1e-12)
+
+
+def test_lattice_sum_near_distant_peaks():
+    # kappa a hair away from K + 2 pi m: the kernel must keep the accuracy
+    # of the explicit phase sum, whichever image of K it is handed
+    for L, k, m in [(7, 2, -1), (7, 5, -2), (6, 3, 2), (2, 1, -2)]:
+        for delta in (3e-7, -1e-5, 2e-3):
+            kappa = 2.0 * math.pi * (k / L + m) + delta
+            brute = abs(np.exp(1j * (kappa - 2.0 * math.pi * k / L)
+                               * np.arange(L)).sum()) ** 2
+            assert _lattice_sum(kappa, k, L) == pytest.approx(brute, rel=1e-12)
+            assert _lattice_sum(np.array([kappa]), np.array([k]), L)[0] \
+                == pytest.approx(brute, rel=1e-12)
 
 
 def test_channel_kinematics():
@@ -155,8 +169,43 @@ def test_quadratic_depletion_scaling(sector_factory):
     sums = []
     us = (60.0, 200.0)
     for u in us:
-        lattice, basis, spectrum, me = sector_factory(5, 1, u)
-        amps = me[1:] @ np.exp(1j * kel * np.arange(5))
-        sums.append((np.abs(amps) ** 2).sum() / 5)
+        lattice, basis, spectrum, weights = sector_factory(5, 1, u)
+        q_d = 2.0 * math.pi * spectrum.momentum[1:] / 5
+        sums.append((weights[1:] * interference(kel, q_d, 5)).sum() / 5)
     slope = (math.log(sums[1]) - math.log(sums[0])) / (math.log(us[1]) - math.log(us[0]))
     assert slope == pytest.approx(-2.0, abs=0.02)
+
+
+PARITY_SECTORS = ([(L, 1) for L in range(2, 8)]
+                  + [(L, 2) for L in range(2, 6)])
+
+
+@pytest.mark.parametrize("L,nu", PARITY_SECTORS)
+@pytest.mark.parametrize("u", [0.0, 1.0, 10.0, 100.0])
+def test_momentum_path_matches_dense_oracle(sector_factory, L, nu, u):
+    # the full dense solve with its site phase product, against the
+    # momentum-block table; nu = 2 stops at L = 5, where the dense sector
+    # (dim 1001) is still cheap
+    lattice, _, spectrum, weights = sector_factory(L, nu, u)
+    energies, table = dense_channel_table(boson_states(L, nu * L), u)
+    np.testing.assert_allclose(spectrum.energies_J, energies, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(energies).max()))
+    for probe in (PROBE, ProbeSpec(Ein_Er=0.5, theta=0.4),
+                  ProbeSpec(Ein_Er=20.0, theta=-2.0)):
+        rec = inelastic_cs_exact(spectrum, weights, lattice, probe, u_over_j=u)
+        value, count = dense_inelastic_cs(energies, table, lattice.J_Er,
+                                          lattice.V0_Er, probe.Ein_Er,
+                                          probe.theta)
+        assert rec.channel_count == count
+        # at E_in = 20 E_r and U/J = 100 every channel sits near kappa = 4 pi,
+        # a zero of the lattice sum: the value is 1e-7 to 1e-5 of its
+        # phase-aligned size and follows the last bit of kappa.  At L=2 the
+        # two paths differ by 1.5e-12 there; against a 40-digit sum the
+        # momentum path is off by 2.9e-12 and the dense one by 4.4e-12.
+        near_zero = probe.Ein_Er == 20.0 and u == 100.0
+        assert rec.value == pytest.approx(value, rel=1e-11 if near_zero else 1e-12)
+        elastic = elastic_cs_exact(spectrum, weights, lattice, probe)
+        kel = elastic_kappa(probe)
+        dense_elastic = (abs(table[0] @ np.exp(1j * kel * np.arange(L))) ** 2
+                         * form_factor(kel, lattice.V0_Er) ** 2 / lattice.N)
+        assert elastic.value == pytest.approx(dense_elastic, rel=1e-12)

@@ -158,12 +158,12 @@ def test_pair_weights_match_exact_diagonalization(sector_factory):
     # group one-pair band channels by energy and compare their summed
     # structure weights against the dense solution deep in the insulator
     L, nu, u = 5, 1, 200.0
-    lattice, basis, spectrum, me = sector_factory(L, nu, u)
+    lattice, basis, spectrum, weights = sector_factory(L, nu, u)
     kel = elastic_kappa(PROBE)
     band = slice(1, 1 + L * (L - 1))
     de_band = (spectrum.energies_J - spectrum.energies_J[0])[band]
-    amps = me[band] @ np.exp(1j * kel * np.arange(L))
-    w_exact = np.abs(amps) ** 2 / L
+    q_band = 2.0 * math.pi * spectrum.momentum[band] / L
+    w_exact = weights[band] * interference(kel, q_band, L) / L
 
     q_grid, k_grid = ph_momentum_grids(L)
     jt = 1.0 / u

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mottscope.fock import enumerate_basis
 from mottscope.spectrum import (build_hamiltonian, cache_key, diagonalize,
                                 ground_matrix_elements, lattice_bonds,
                                 load_spectrum, save_spectrum,
-                                spectrum_cache_path)
+                                spectrum_cache_path, translation_orbits)
 
 from oracles import boson_states, dense_hamiltonian, ground_vector
 
@@ -60,86 +61,175 @@ def test_free_hopping_ground_energy():
     assert np.linalg.eigvalsh(ham2.to_dense())[0] == pytest.approx(-2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("L,N", [(2, 2), (3, 3), (4, 4), (4, 8), (6, 6), (5, 0)])
+def test_translation_orbits(L, N):
+    basis = enumerate_basis(L, N)
+    orb = translation_orbits(basis)
+    reps = np.flatnonzero(orb.shift == 0)
+    assert np.array_equal(orb.index[reps], np.arange(reps.size))
+    for i, row in enumerate(basis.occ):
+        rep = basis.occ[reps[orb.index[i]]]
+        assert np.array_equal(np.roll(rep, orb.shift[i]), row)
+        # oracle: the period is the number of distinct rotations
+        rotations = {tuple(np.roll(row, s)) for s in range(L)}
+        assert orb.size[orb.index[i]] == len(rotations)
+    assert orb.size.sum() == len(basis)
+
+
+@pytest.mark.parametrize("L,nu,u", [(2, 1, 3.0), (4, 1, 6.0), (6, 1, 2.0),
+                                    (3, 2, 7.0), (4, 2, 0.0)])
+def test_bloch_blocks_are_hermitian_and_complete(L, nu, u):
+    _, _, ham = build(L, nu, u)
+    sizes = 0
+    eigs = []
+    for k in range(L):
+        allowed, block = ham.bloch_block(k)
+        assert np.abs(block - block.conj().T).max() < 1e-13
+        # k = 0 and K = pi blocks are real, the others complex
+        assert np.isrealobj(block) == (2 * k % L == 0)
+        sizes += allowed.size
+        eigs.append(np.linalg.eigvalsh(block))
+    assert sizes == ham.dim
+    np.testing.assert_allclose(np.sort(np.concatenate(eigs)),
+                               np.linalg.eigvalsh(ham.to_dense()),
+                               rtol=0, atol=1e-10)
+    # reflection: K and -K blocks share their spectrum
+    for k in range(1, L):
+        np.testing.assert_allclose(eigs[k], eigs[L - k], rtol=0, atol=1e-10)
+
+
 def test_deep_mott_ground_state():
     _, basis, ham = build(4, 1, 1e6)
     spec = diagonalize(ham)
-    mott = basis.rank([1, 1, 1, 1])
-    assert abs(spec.vectors[mott, 0]) > 1.0 - 1e-9
+    mott = ham.orbits.index[basis.rank([1, 1, 1, 1])]
+    assert spec.momentum[spec.ground_index] == 0
+    assert abs(spec.blocks[0].vectors[mott, 0]) > 1.0 - 1e-9
 
 
 def test_diagonalize_properties():
     _, _, ham = build(4, 1, 6.0)
     spec = diagonalize(ham)
-    dense = ham.to_dense()
     assert (np.diff(spec.energies_J) >= 0).all()
     assert spec.ground_index == 0
-    # residuals and orthonormality
-    resid = dense @ spec.vectors - spec.vectors * spec.energies_J
-    assert np.abs(resid).max() < 1e-10
-    gram = spec.vectors.T @ spec.vectors
-    assert np.abs(gram - np.eye(ham.dim)).max() < 1e-12
+    # the table covers the whole sector, with the dense spectrum
+    np.testing.assert_allclose(spec.energies_J,
+                               np.linalg.eigvalsh(ham.to_dense()),
+                               rtol=0, atol=1e-10)
+    # every block: residuals, orthonormality, table rows at its momenta
+    assert [b.k for b in spec.blocks] == [0, 1, 2]
+    for block in spec.blocks:
+        allowed, matrix = ham.bloch_block(block.k)
+        assert np.array_equal(block.orbits, allowed)
+        energies = spec.energies_J[block.slots[0]]
+        resid = matrix @ block.vectors - block.vectors * energies
+        assert np.abs(resid).max() < 1e-10
+        gram = block.vectors.conj().T @ block.vectors
+        assert np.abs(gram - np.eye(allowed.size)).max() < 1e-12
+        partners = sorted({block.k, -block.k % 4})
+        for row, k in zip(block.slots, partners):
+            assert (spec.momentum[row] == k).all()
+            assert np.array_equal(spec.energies_J[row], energies)
     # E_r energies are exactly the J-unit energies times the scale
     assert np.array_equal(spec.energies, spec.energies_J * 6.5e-3)
     with pytest.raises(ValueError):
         spec.energies[0] = 0.0
+    table = spec.channel_table()
+    assert table.blocks == () and table.orbits is None
+    assert np.array_equal(table.momentum, spec.momentum)
 
 
 def test_ground_matrix_elements_sum_rules():
-    lattice, basis, ham = build(4, 1, 6.0)
-    spec = diagonalize(ham)
-    me = ground_matrix_elements(spec, basis)
-    assert me.shape == (len(basis), 4)
-    # ground row: uniform density nu on a ring
-    np.testing.assert_allclose(me[0], 1.0, rtol=0, atol=1e-12)
-    # total number is conserved: <n|N|0> = N delta_n0
-    sums = me.sum(axis=1)
-    assert sums[0] == pytest.approx(4.0, abs=1e-12)
-    assert np.abs(sums[1:]).max() < 1e-12
+    for L, nu, u in [(3, 1, 5.0), (4, 1, 6.0), (5, 1, 0.0), (3, 2, 5.0),
+                     (4, 2, 30.0)]:
+        _, basis, ham = build(L, nu, u)
+        spec = diagonalize(ham)
+        w = ground_matrix_elements(spec, basis)
+        assert w.shape == (len(basis),)
+        # ground weight: uniform density nu on a ring
+        assert w[0] == pytest.approx(nu ** 2, abs=1e-12)
+        # completeness: sum_n w_n = <0|n_0^2|0>
+        states = boson_states(L, nu * L)
+        _, gs = ground_vector(states, u)
+        occ = np.array(states, dtype=float)
+        assert w.sum() == pytest.approx(((gs * occ[:, 0]) ** 2).sum(), abs=1e-10)
+        # <n|N|0> = N delta_n0, so excited K = 0 states carry no weight
+        excited_k0 = (spec.momentum == 0) & (np.arange(w.size) != 0)
+        assert np.abs(w[excited_k0]).max() < 1e-12
 
 
 def test_ground_matrix_elements_completeness():
-    # sum_n <0|n_j|n><n|n_j'|0> must equal <0| n_j n_j' |0>
+    # sum_n w_n e^{-i K_n (j - j')} must equal <0| n_j n_j' |0>
     lattice, basis, ham = build(3, 2, 5.0)
     spec = diagonalize(ham)
-    me = ground_matrix_elements(spec, basis)
+    w = ground_matrix_elements(spec, basis)
+    K = 2.0 * math.pi * spec.momentum / 3
+    sep = np.subtract.outer(np.arange(3), np.arange(3))
+    corr = (w[:, None, None] * np.exp(-1j * K[:, None, None] * sep)).sum(axis=0)
     states = boson_states(3, 6)
     _, gs = ground_vector(states, 5.0)
     occ = np.array(states, dtype=float)
     corr_oracle = (occ * (gs ** 2)[:, None]).T @ occ
-    np.testing.assert_allclose(me.T @ me, corr_oracle, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(corr, corr_oracle, rtol=0, atol=1e-10)
+
+
+def saved_table(tmp_path, L=3, N=3, u=5.0):
+    lattice, basis, ham = build(L, N // L, u)
+    spec = diagonalize(ham)
+    weights = ground_matrix_elements(spec, basis)
+    key = cache_key(u)
+    path = spectrum_cache_path(str(tmp_path), L, N, key)
+    save_spectrum(path, L, N, key, spec, weights)
+    return path, spec, weights
 
 
 def test_cache_roundtrip_is_bitwise(tmp_path):
-    _, _, ham = build(3, 1, 5.0)
-    spec = diagonalize(ham)
+    path, spec, weights = saved_table(tmp_path)
     key = cache_key(5.0)
     assert key == "5.00000000000e+00"
-    path = spectrum_cache_path(str(tmp_path), 3, 3, key)
     assert path.endswith("L3_N3_U5.00000000000e+00.spec")
-    save_spectrum(path, 3, 3, key, spec)
-    L, N, key2, loaded = load_spectrum(path, 6.5e-3)
+    L, N, key2, loaded, loaded_w = load_spectrum(path, 6.5e-3)
     assert (L, N, key2) == (3, 3, key)
     assert np.array_equal(loaded.energies_J, spec.energies_J)
-    assert np.array_equal(loaded.vectors, spec.vectors)
+    assert np.array_equal(loaded.momentum, spec.momentum)
+    assert np.array_equal(loaded_w, weights)
     assert np.array_equal(loaded.energies, spec.energies)
+    assert loaded.blocks == ()
     # a different energy scale only rescales the E_r view
-    _, _, _, rescaled = load_spectrum(path, 1.0)
+    _, _, _, rescaled, _ = load_spectrum(path, 1.0)
     assert np.array_equal(rescaled.energies, spec.energies_J)
+    # O(dim) numbers: magic, header, key, three columns, checksum
+    assert os.path.getsize(path) == 8 + 20 + len(key) + 20 * 10 + 4
 
 
 def test_cache_rejects_damaged_files(tmp_path):
-    _, _, ham = build(3, 1, 5.0)
-    spec = diagonalize(ham)
-    path = spectrum_cache_path(str(tmp_path), 3, 3, cache_key(5.0))
-    save_spectrum(path, 3, 3, cache_key(5.0), spec)
+    path, _, _ = saved_table(tmp_path)
     raw = open(path, "rb").read()
     open(path, "wb").write(b"NOTMAGIC" + raw[8:])
     with pytest.raises(ValueError, match="not a spectrum cache file"):
         load_spectrum(path, 6.5e-3)
-    for cut in (4, 20, len(raw) // 2, len(raw) - 8):
+    # the previous format is not read, so its entries get recomputed
+    open(path, "wb").write(b"MWSPEC01" + raw[8:])
+    with pytest.raises(ValueError, match="not a spectrum cache file"):
+        load_spectrum(path, 6.5e-3)
+    for cut in (4, 20, len(raw) // 2, len(raw) - 8, len(raw) - 1):
         open(path, "wb").write(raw[:cut])
         with pytest.raises(ValueError):
             load_spectrum(path, 6.5e-3)
+    open(path, "wb").write(raw + b"\0")
+    with pytest.raises(ValueError, match="corrupt"):
+        load_spectrum(path, 6.5e-3)
+
+
+def test_cache_checksum_catches_every_flipped_bit(tmp_path):
+    path, _, _ = saved_table(tmp_path)
+    raw = bytearray(open(path, "rb").read())
+    for pos in range(8, len(raw)):
+        for bit in (0, 7):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << bit
+            open(path, "wb").write(flipped)
+            with pytest.raises(ValueError, match="corrupt"):
+                load_spectrum(path, 6.5e-3)
 
 
 def test_cache_key_distinguishes_nearby_couplings():
