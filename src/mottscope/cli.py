@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_J_ER, DEFAULT_V0_ER, read_config_file
-from .errors import ValidationError
+from .errors import RangeError, ValidationError
 from .harness import (CRITICAL_COLUMNS, CSV_COLUMNS, ScanPlan,
                       critical_points_report, rows_to_csv, rows_to_json,
                       run_compare, run_scan)
@@ -126,11 +126,17 @@ def _resolve(args: argparse.Namespace, key: str, config: dict) -> str:
     return _DEFAULTS.get(key)
 
 
-def _plan_from_args(args: argparse.Namespace, methods: list[str]) -> ScanPlan:
-    config = read_config_file(args.config) if args.config else {}
-
+def _plan_from_args(args: argparse.Namespace, methods: list[str],
+                    config: dict) -> ScanPlan:
     def get(key):
         return _resolve(args, key, config)
+
+    def number(key, cast=float):
+        text = get(key)
+        try:
+            return cast(text)
+        except ValueError as exc:
+            raise ValidationError(f"bad {key} value {text!r}") from exc
 
     cache_dir = get("cache_dir") or os.environ.get("MOTTSCOPE_CACHE") or None
     return ScanPlan(
@@ -140,13 +146,13 @@ def _plan_from_args(args: argparse.Namespace, methods: list[str]) -> ScanPlan:
         thetas=parse_axis(get("theta")),
         eins=parse_axis(get("ein")),
         methods=methods,
-        gap_order=int(get("gap_order")),
+        gap_order=number("gap_order", int),
         lambda_source=get("lambda_source"),
-        mass_ratio=float(get("mass_ratio")),
-        v0_er=float(get("v0")),
-        j_er=float(get("j_er")),
+        mass_ratio=number("mass_ratio"),
+        v0_er=number("v0"),
+        j_er=number("j_er"),
         cache_dir=cache_dir,
-        jobs=int(get("jobs")),
+        jobs=number("jobs", int),
     )
 
 
@@ -165,7 +171,11 @@ def _emit(rows: list[dict], args: argparse.Namespace, config: dict,
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = read_config_file(args.config) if getattr(args, "config", None) else {}
+    try:
+        config = read_config_file(args.config) if args.config else {}
+    except (OSError, RangeError) as exc:
+        print(f"mottscope: config file: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "critical":
             filling = getattr(args, "filling", None) or config.get("filling") or "1,2"
@@ -173,15 +183,15 @@ def main(argv: list[str] | None = None) -> int:
             _emit(rows, args, config, CRITICAL_COLUMNS)
             return 0
         if args.command in ("exact", "sce", "mf"):
-            plan = _plan_from_args(args, methods=[args.command])
+            plan = _plan_from_args(args, [args.command], config)
             rows = run_scan(plan)
         elif args.command == "scan":
             methods_text = _resolve(args, "methods", config)
             methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-            plan = _plan_from_args(args, methods=methods)
+            plan = _plan_from_args(args, methods, config)
             rows = run_scan(plan)
         else:  # compare
-            plan = _plan_from_args(args, methods=["exact", "sce"])
+            plan = _plan_from_args(args, ["exact", "sce"], config)
             rows = run_compare(plan)
     except ValidationError as exc:
         print(f"mottscope: {exc}", file=sys.stderr)

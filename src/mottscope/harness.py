@@ -12,6 +12,7 @@ rest of the scan, and the disk cache stores exactly that.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .config import (DEFAULT_J_ER, DEFAULT_V0_ER, InteractionSpec,
 from .errors import ValidationError
 from .fock import DEFAULT_DIM_CAP, dimension, enumerate_basis
 from .meanfield import critical_j_mf, inelastic_cs_mf
-from .scatter import CrossSectionRecord, inelastic_cs_exact
+from .scatter import CrossSectionRecord, elastic_kappa, inelastic_cs_exact
 from .sce import critical_j, inelastic_cs_sce, large_l_cs
 from .spectrum import (build_hamiltonian, cache_key, diagonalize,
                        ground_matrix_elements, load_spectrum, save_spectrum,
@@ -81,6 +82,10 @@ def validate_plan(plan: ScanPlan) -> None:
     for nu in plan.fillings:
         if not isinstance(nu, int) or nu < 1:
             raise ValidationError(f"fillings must be integers >= 1, got {nu!r}")
+    for name in ("u_over_j", "thetas", "eins"):
+        for x in getattr(plan, name):
+            if not math.isfinite(x):
+                raise ValidationError(f"{name} must be finite, got {x}")
     for u in plan.u_over_j:
         if u < 0:
             raise ValidationError(f"u_over_j must be >= 0, got {u}")
@@ -92,6 +97,9 @@ def validate_plan(plan: ScanPlan) -> None:
     if plan.lambda_source not in ("perturbative", "iterative"):
         raise ValidationError(
             f"lambda_source must be perturbative or iterative, got {plan.lambda_source!r}")
+    for name in ("mass_ratio", "v0_er", "j_er"):
+        if not math.isfinite(getattr(plan, name)):
+            raise ValidationError(f"{name} must be finite, got {getattr(plan, name)}")
     if plan.mass_ratio <= 0 or plan.v0_er <= 0 or plan.j_er <= 0:
         raise ValidationError("mass_ratio, v0_er and j_er must be positive")
     if plan.jobs < 1:
@@ -222,10 +230,29 @@ class ComparisonRecord:
     undefined: bool = False
 
 
+def delta_undefined(exact_value: float, kappa_el: float) -> bool:
+    """Whether the relative difference to the exact value has no reference.
+
+    With no elastic momentum transfer (kappa_el = 0, forward scattering)
+    the exact inelastic sum vanishes identically and what it returns is
+    rounding noise, so the rule is kinematic rather than a threshold.
+    """
+    return exact_value == 0.0 or kappa_el == 0.0
+
+
+def _record_kappa_el(rec: CrossSectionRecord) -> float:
+    """Elastic momentum transfer of the probe a record echoes, nan if none."""
+    p = rec.params
+    if "theta" not in p:
+        return math.nan
+    return elastic_kappa(ProbeSpec(Ein_Er=p["Ein_Er"], theta=p["theta"],
+                                   mass_ratio=p["mass_ratio"]))
+
+
 def compare(exact_rec: CrossSectionRecord,
             sce_rec: CrossSectionRecord) -> ComparisonRecord:
-    """Relative difference |exact - sce| / exact, flagged when exact ~ 0."""
-    if abs(exact_rec.value) < 1e-30:
+    """Relative difference |exact - sce| / exact, flagged when exact vanishes."""
+    if delta_undefined(exact_rec.value, _record_kappa_el(exact_rec)):
         return ComparisonRecord(delta_ics=0.0, exact_value=exact_rec.value,
                                 sce_value=sce_rec.value, undefined=True)
     delta = abs(exact_rec.value - sce_rec.value) / abs(exact_rec.value)
@@ -234,7 +261,11 @@ def compare(exact_rec: CrossSectionRecord,
 
 
 def run_compare(plan: ScanPlan) -> list[dict]:
-    """Exact and strong-coupling rows plus a compare row per grid point."""
+    """Exact and strong-coupling rows plus a compare row per grid point.
+
+    The compare value is computed from the printed cells, so it follows
+    the CSV to the last digit.
+    """
     base = ScanPlan(**{**plan.__dict__, "methods": ["exact", "sce"]})
     rows = run_scan(base)
     out = []
@@ -253,7 +284,10 @@ def run_compare(plan: ScanPlan) -> list[dict]:
         else:
             ex_val = float(ex_row["value"])
             sc_val = float(sc_row["value"])
-            if abs(ex_val) < 1e-30:
+            probe = ProbeSpec(Ein_Er=float(ex_row["ein_er"]),
+                              theta=float(ex_row["theta"]),
+                              mass_ratio=plan.mass_ratio)
+            if delta_undefined(ex_val, elastic_kappa(probe)):
                 cmp_row["value"] = ""
                 cmp_row["warning"] = "undefined_delta"
             else:

@@ -99,9 +99,10 @@ def _lattice_sum(kappa_d, k, L: int):
     The kernel has period 2 pi in kappa - K.  Near kappa - K = 2 pi m with
     m != 0, the rounding of L (kappa - K) / 2 is not small against the sine
     it feeds (it moved one L=7 cross section by 3e-10 relative).  Shifting k
-    by a multiple of L keeps the argument in [-pi, pi], where it is.
+    by a multiple of L keeps the argument in [-pi, pi], where it is.  The
+    exact and the strong-coupling sums both go through this kernel.
     """
-    k = k + L * np.round(np.asarray(kappa_d) / (2.0 * math.pi) - np.asarray(k) / L)
+    k = k + L * np.rint(np.asarray(kappa_d) / (2.0 * math.pi) - np.asarray(k) / L)
     return interference(kappa_d, 2.0 * math.pi * k / L, L)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .config import DEFAULT_J_ER, InteractionSpec, LatticeSpec, ProbeSpec
 from .errors import DomainError, NoRootError
 from .fock import FockBasis
-from .scatter import CrossSectionRecord, elastic_kappa, form_factor, interference, _echo
+from .scatter import (CrossSectionRecord, _echo, _lattice_sum, elastic_kappa,
+                      form_factor)
 
 _QZERO_TOL = 1e-12
 
@@ -48,37 +49,40 @@ def ph_energy_first_order(q_d, k_d, nu: int):
     return out if np.ndim(out) else float(out)
 
 
-def _is_q_zero(q_d: float) -> bool:
-    return abs(math.remainder(q_d, 2.0 * math.pi)) < _QZERO_TOL
-
-
-def ph_energy_second_order(q_d: float, k_d: float, nu: int, L: int,
-                           _force_delta=None) -> float:
+def ph_energy_second_order(q_d, k_d, nu: int, L: int, _force_delta=None):
     """Second-order pair energy coefficient (closed form, valid for L >= 3).
 
-    The q = 0 branch carries two extra terms from the uniform intermediate
-    state; they exactly compensate the bracket switch, keeping the energy
-    continuous in q.  The _force_delta knob exists only so tests can check
-    that compensation term by term.
+    Accepts scalars or broadcastable numpy grids.  The q = 0 branch carries
+    two extra terms from the uniform intermediate state; they exactly
+    compensate the bracket switch, keeping the energy continuous in q.  The
+    _force_delta knob exists only so tests can check that compensation term
+    by term.
     """
     if L < 3:
         raise DomainError(f"second-order pair energy needs L >= 3, got L={L}")
-    z = tunneling_phase(q_d, nu)
-    delta = float(_is_q_zero(q_d)) if _force_delta is None else float(_force_delta)
+    q_d = np.asarray(q_d, dtype=float)
+    k_d = np.asarray(k_d, dtype=float)
+    z = np.angle(effective_tunneling(q_d, nu))
+    if _force_delta is None:
+        # q = 0 mask: q within _QZERO_TOL of a multiple of 2 pi
+        two_pi = 2.0 * math.pi
+        delta = (np.abs(q_d - two_pi * np.rint(q_d / two_pi)) < _QZERO_TOL).astype(float)
+    else:
+        delta = float(_force_delta)
     npp = nu * (nu + 1)
-    cq = math.cos(q_d)
+    cq = np.cos(q_d)
     out = -2.0 * L * npp + (6.0 * nu * nu + 6.0 * nu + 1.0)
-    out -= (4.0 * npp / L) * cq * math.cos(2.0 * z - q_d) \
-        * (1.0 + (L - 1) * math.cos(2.0 * k_d))
-    out += (2.0 * math.sin(k_d) ** 2 / (3.0 * L)) \
+    out -= (4.0 * npp / L) * cq * np.cos(2.0 * z - q_d) \
+        * (1.0 + (L - 1) * np.cos(2.0 * k_d))
+    out += (2.0 * np.sin(k_d) ** 2 / (3.0 * L)) \
         * (2.0 * npp * (6.0 * cq - 1.0) + 1.0)
     boundary = 4.0 * npp * delta
-    boundary -= (2.0 * nu * (nu + 2) / L) * math.cos(z * (L - 2))
-    boundary -= (2.0 * (nu * nu - 1) / L) * math.cos(z * (L - 2) + 2.0 * q_d)
-    boundary += (4.0 * npp / L) * math.cos(z * (L - 2) + q_d) \
+    boundary -= (2.0 * nu * (nu + 2) / L) * np.cos(z * (L - 2))
+    boundary -= (2.0 * (nu * nu - 1) / L) * np.cos(z * (L - 2) + 2.0 * q_d)
+    boundary += (4.0 * npp / L) * np.cos(z * (L - 2) + q_d) \
         * ((1.0 - delta) * (1.0 + 2.0 * cq) - (L - 3) * delta)
-    out += math.sin(k_d) * math.sin(k_d * (L - 1)) * boundary
-    return out
+    out += np.sin(k_d) * np.sin(k_d * (L - 1)) * boundary
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -164,19 +168,18 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
     kg = k_d[None, :]
     gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
     if gap_order == 2:
-        e2 = np.array([[ph_energy_second_order(q, k, nu, L) for k in k_d]
-                       for q in q_d])
-        gap = gap + j_tilde**2 * e2
+        gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
     u_er = u.U_Er(lattice.J_Er)
     radicand = 1.0 - u_er * gap / probe.Ein_Er
     open_mask = radicand >= 0.0
-    kappa_el = elastic_kappa(probe)
-    kappa_d = kappa_el * np.sqrt(np.maximum(radicand, 0.0))
+    root = np.sqrt(np.maximum(radicand, 0.0))
+    kappa_d = elastic_kappa(probe) * root
     m2 = np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
     terms = np.where(
         open_mask,
-        np.sqrt(np.maximum(radicand, 0.0)) * m2
-        * interference(kappa_d, qg, L) * form_factor(kappa_d, lattice.V0_Er) ** 2,
+        root * m2
+        * _lattice_sum(kappa_d, np.arange(L)[:, None], L)
+        * form_factor(kappa_d, lattice.V0_Er) ** 2,
         0.0)
     value = float(j_tilde**2 * 2.0 * (nu + 1) / L**3 * terms.sum())
     params = _echo(lattice, probe, u.U_over_J)

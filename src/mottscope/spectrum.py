@@ -5,8 +5,17 @@ only; recoil-unit energies are recovered by multiplying with J_Er.  On the
 ring, translation by one site commutes with the Hamiltonian, so the fixed-N
 sector splits into L Bloch blocks of lattice momentum K = 2 pi k / L.  Each
 block is solved completely, because the scattering sums run over the whole
-excitation spectrum.  Reflection maps K onto -K with the same spectrum and
-the same scattering weights, so only the blocks 0 <= k <= L/2 are solved.
+excitation spectrum.  Reflection R (site j -> -j) maps K onto -K with the
+same spectrum and the same scattering weights, so only the blocks
+0 <= k <= L/2 are solved.
+
+Every block is solved as a real symmetric matrix.  The antiunitary R C, C
+complex conjugation in the Fock basis, commutes with H and maps each Bloch
+block onto itself, so the block is real in a basis of R C-invariant
+combinations of an orbit and its mirror image (a Frame).  At K = 0 and
+K = pi, R itself commutes with the block and the frame splits it into an
+even and an odd half.  The ground state and n_0|0> are R-even, so the odd
+halves carry no weight and are solved for eigenvalues only.
 
 The result is a channel table: every eigenstate's energy and momentum, plus
 one weight |<n|n_0|0>|^2 per eigenstate.  That table is all the cross
@@ -34,29 +43,36 @@ _CACHE_CRC = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class Orbits:
-    """Translation orbits of a basis on the ring.
+    """Translation orbits of a basis on the ring, and their mirror images.
 
     With T moving every boson one site to the right, state i equals
     T^shift[i] applied to the representative of orbit index[i], the orbit's
-    lowest-index state.  size holds each orbit's period.
+    lowest-index state.  size holds each orbit's period.  Reflection R maps
+    the representative of orbit r onto T^mirror_shift[r] applied to the
+    representative of orbit mirror[r].
     """
 
     index: np.ndarray
     shift: np.ndarray
     size: np.ndarray
+    mirror: np.ndarray
+    mirror_shift: np.ndarray
 
 
 def translation_orbits(basis: FockBasis) -> Orbits:
-    """Orbit, shift and period of every state from L vectorized rankings."""
-    occ = basis.occ
+    """Orbits, shifts, periods and mirror images from L + 1 vectorized rankings."""
+    occ, L = basis.occ, basis.L
     # images[i, s] is the index of T^s applied to state i
     images = np.column_stack([basis.rank_rows(np.roll(occ, s, axis=1))
-                              for s in range(basis.L)])
+                              for s in range(L)])
     to_rep = images.argmin(axis=1)
     reps, index = np.unique(images[np.arange(len(basis)), to_rep],
                             return_inverse=True)
-    size = basis.L // (images[reps] == reps[:, None]).sum(axis=1)
-    return Orbits(index=index, shift=(-to_rep) % basis.L, size=size)
+    size = L // (images[reps] == reps[:, None]).sum(axis=1)
+    shift = (-to_rep) % L
+    mirrored = basis.rank_rows(occ[reps][:, -np.arange(L) % L])
+    return Orbits(index=index, shift=shift, size=size,
+                  mirror=index[mirrored], mirror_shift=shift[mirrored])
 
 
 def _bloch_phase(k: int, shift: np.ndarray, L: int) -> np.ndarray:
@@ -67,12 +83,87 @@ def _bloch_phase(k: int, shift: np.ndarray, L: int) -> np.ndarray:
     return np.exp(1j * angle)
 
 
+@dataclass(frozen=True)
+class Frame:
+    """Orthonormal basis of one Bloch block in which the block is real.
+
+    With |r,K> = p^-1/2 sum_s e^{-iKs} T^s|r> and R|r> = T^t|r'>, the map
+    A = R C sends |r,K> to e^{iKt}|r',K>.  Its fixed vectors are
+    e^{iKt/2}|r,K> for a self-mirrored orbit (r' = r), and
+    (|r,K> + e^{iKt}|r',K>)/sqrt2 and i(|r,K> - e^{iKt}|r',K>)/sqrt2 for a
+    mirror pair.  orbits lists the block's orbits in Bloch-column order;
+    Bloch column c enters frame vectors col[0, c] and col[1, c] with
+    coefficients coef[0, c] and coef[1, c] (coef[1, c] = 0 for a
+    self-mirrored orbit).  The first `even` frame vectors are the R-even
+    ones when K is 0 or pi, and the rest are R-odd.
+    """
+
+    orbits: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    even: int
+
+    def bloch_amplitudes(self, x: np.ndarray) -> np.ndarray:
+        """Bloch-column amplitudes of a vector given on the leading frame vectors."""
+        full = np.zeros(self.orbits.size, dtype=x.dtype)
+        full[:x.size] = x
+        return (self.coef * full[self.col]).sum(axis=0)
+
+    def coordinates(self, y: np.ndarray) -> np.ndarray:
+        """Frame coordinates of an A-invariant vector given in Bloch columns.
+
+        They are real, so only the rounding residue of the imaginary part
+        is dropped.
+        """
+        return np.bincount(self.col.ravel(),
+                           (self.coef.conj() * y).real.ravel(),
+                           minlength=self.orbits.size)
+
+
+def _bloch_frame(orbits: Orbits, k: int, L: int) -> Frame:
+    """The A-invariant frame of momentum K = 2 pi k / L.
+
+    Frame vectors come in the order: self-mirrored orbits with e^{iKt} = 1,
+    the pairs' sums, the remaining self-mirrored orbits, the pairs'
+    differences.  At K = 0 and K = pi that puts the R-even half first.
+    """
+    allowed = np.flatnonzero(k * orbits.size % L == 0)
+    n = allowed.size
+    local = np.full(orbits.size.size, -1)
+    local[allowed] = np.arange(n)
+    cols = np.arange(n)
+    mate = local[orbits.mirror[allowed]]
+    t = orbits.mirror_shift[allowed]
+    own = cols[mate == cols]
+    own_even = own[k * t[own] % L == 0]
+    own_odd = own[k * t[own] % L != 0]
+    first = cols[mate > cols]
+    second = mate[first]
+    even = own_even.size + first.size
+    plus = own_even.size + np.arange(first.size)
+    minus = even + own_odd.size + np.arange(first.size)
+    col = np.empty((2, n), dtype=np.int64)
+    coef = np.zeros((2, n), dtype=complex)
+    col[0, own_even] = np.arange(own_even.size)
+    col[0, own_odd] = even + np.arange(own_odd.size)
+    col[1, own] = col[0, own]
+    coef[0, own] = np.exp(1j * np.pi * (k * t[own] % (2 * L)) / L)
+    phase = np.exp(2j * np.pi * (k * t[first] % L) / L) / np.sqrt(2.0)
+    col[0, first] = col[0, second] = plus
+    col[1, first] = col[1, second] = minus
+    coef[0, first] = 1.0 / np.sqrt(2.0)
+    coef[1, first] = 1j / np.sqrt(2.0)
+    coef[0, second] = phase
+    coef[1, second] = -1j * phase
+    return Frame(orbits=allowed, col=col, coef=coef, even=even)
+
+
 @dataclass
 class HamiltonianMatrix:
     """Real symmetric matrix stored as a diagonal plus one off-diagonal triangle.
 
-    orbits records the translation structure of the basis, from which the
-    Bloch blocks are assembled.
+    orbits records the translation and reflection structure of the basis,
+    from which the Bloch blocks are assembled.
     """
 
     dim: int
@@ -91,18 +182,20 @@ class HamiltonianMatrix:
         dense[self.cols, self.rows] = self.vals
         return dense
 
-    def bloch_block(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Orbits spanning momentum K = 2 pi k / L, and the block over them.
+    def frame_block(self, k: int) -> tuple[Frame, np.ndarray]:
+        """Frame of momentum K = 2 pi k / L, and the real block over it.
 
         The Bloch state of an orbit of period p exists when K p is a
-        multiple of 2 pi.  With |r,K> = p^-1/2 sum_s e^{-iKs} T^s|r>, the
-        element <r',K|H|r,K> sums <j|H|r> e^{iK shift[j]} sqrt(p_r/p_r')
-        over the states j of orbit r'.
+        multiple of 2 pi.  The Bloch element <r',K|H|r,K> sums
+        <j|H|r> e^{iK shift[j]} sqrt(p_r/p_r') over the states j of orbit
+        r'; each such term goes straight into the (at most four) frame
+        elements that the two orbits enter, so no complex block is formed.
         """
         orb = self.orbits
-        allowed = np.flatnonzero(k * orb.size % self.L == 0)
+        frame = _bloch_frame(orb, k, self.L)
+        n = frame.orbits.size
         column = np.full(orb.size.size, -1)
-        column[allowed] = np.arange(allowed.size)
+        column[frame.orbits] = np.arange(n)
         states = np.arange(self.dim)
         dst = np.concatenate([states, self.rows, self.cols])
         src = np.concatenate([states, self.cols, self.rows])
@@ -111,12 +204,14 @@ class HamiltonianMatrix:
         dst, src, val = dst[keep], src[keep], val[keep]
         a, b = column[orb.index[dst]], column[orb.index[src]]
         keep = (a >= 0) & (b >= 0)
-        dst, src = dst[keep], src[keep]
+        dst, src, a, b = dst[keep], src[keep], a[keep], b[keep]
         amp = (val[keep] * _bloch_phase(k, orb.shift[dst], self.L)
                * np.sqrt(orb.size[orb.index[src]] / orb.size[orb.index[dst]]))
-        block = np.zeros((allowed.size, allowed.size), dtype=amp.dtype)
-        np.add.at(block, (a[keep], b[keep]), amp)
-        return allowed, block
+        # <alpha|H|beta> = sum over Bloch (a, b) of conj(U[a, alpha]) H_ab U[b, beta]
+        flat = frame.col[:, None, a] * n + frame.col[None, :, b]
+        weight = (frame.coef[:, None, a].conj() * amp * frame.coef[None, :, b]).real
+        block = np.bincount(flat.ravel(), weight.ravel(), minlength=n * n)
+        return frame, block.reshape(n, n)
 
 
 def lattice_bonds(L: int):
@@ -164,12 +259,15 @@ def build_hamiltonian(basis: FockBasis, interaction: InteractionSpec,
 class Eigenblock:
     """Eigenpairs of one Bloch block and their rows in the channel table.
 
-    slots has one row for K and, when -K is a different momentum, a second
-    row for the reflected copies.
+    vectors holds the real eigenvectors in frame coordinates.  At K = 0 and
+    K = pi they span the even half only, the odd half being solved for its
+    eigenvalues alone.  slots has one row for K and, when -K is a different
+    momentum, a second row for the reflected copies; its leading columns
+    belong to the states in vectors, the rest to the odd half.
     """
 
     k: int
-    orbits: np.ndarray
+    frame: Frame
     vectors: np.ndarray
     slots: np.ndarray
 
@@ -202,35 +300,51 @@ class Spectrum:
         return Spectrum(self.energies, self.energies_J, self.momentum)
 
 
+def _solve(matrix: np.ndarray, k: int, vectors: bool = True):
+    """Real symmetric eigensolve of one block or half-block."""
+    try:
+        return scipy.linalg.eigh(matrix, eigvals_only=not vectors,
+                                 driver="evd", check_finite=False,
+                                 overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"block eigensolver failed at k={k}: {exc}") from exc
+
+
 def diagonalize(h: HamiltonianMatrix) -> Spectrum:
-    """All eigenpairs, one dense solve per Bloch block with 0 <= k <= L/2."""
+    """All eigenvalues, one real solve per Bloch block with 0 <= k <= L/2.
+
+    The K = 0 and K = pi blocks are solved as an even half with
+    eigenvectors and an odd half without.
+    """
     L = h.L
     solved, energies, momenta = [], [], []
     for k in range(L // 2 + 1):
-        allowed, block = h.bloch_block(k)
-        if not allowed.size:
+        frame, block = h.frame_block(k)
+        if not frame.orbits.size:
             continue
-        try:
-            energies_k, vectors = scipy.linalg.eigh(
-                block, driver="evd", check_finite=False, overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"block eigensolver failed at k={k}: {exc}") from exc
+        if 2 * k % L == 0:
+            even = frame.even
+            energies_k, vectors = _solve(block[:even, :even], k)
+            energies_k = np.concatenate(
+                [energies_k, _solve(block[even:, even:], k, vectors=False)])
+        else:
+            energies_k, vectors = _solve(block, k)
         partners = sorted({k, -k % L})
-        solved.append((k, allowed, vectors, len(partners)))
+        solved.append((k, frame, vectors, len(partners)))
         for q in partners:
             energies.append(energies_k)
             momenta.append(np.full(energies_k.size, q))
     energies_j = np.concatenate(energies)
-    # k = 0 comes first, so the stable sort puts its lowest state, the
-    # unique ground state, at entry 0
+    # k = 0 comes first and its even half leads it, so the stable sort puts
+    # that half's lowest state, the unique ground state, at entry 0
     order = np.argsort(energies_j, kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     blocks, start = [], 0
-    for k, allowed, vectors, copies in solved:
-        n = allowed.size
+    for k, frame, vectors, copies in solved:
+        n = frame.orbits.size
         slots = slot[start:start + copies * n].reshape(copies, n)
-        blocks.append(Eigenblock(k, allowed, vectors, slots))
+        blocks.append(Eigenblock(k, frame, vectors, slots))
         start += copies * n
     energies_j = energies_j[order]
     return Spectrum(
@@ -247,24 +361,27 @@ def ground_matrix_elements(spectrum: Spectrum, basis: FockBasis) -> np.ndarray:
 
     For an eigenstate of momentum K, <n|n_j|0> = e^{-iKj} <n|n_0|0>, so one
     weight per eigenstate carries the whole site-resolved table.  The ground
-    state is the lowest state of the k = 0 block, whose Bloch basis spans
-    every orbit; the other k = 0 states have weight exactly 0.
+    state is the lowest state of the k = 0 even half, whose frame spans
+    every orbit; the other k = 0 states have weight exactly 0.  n_0|0> is
+    real and R-even, so its frame coordinates are real and the odd halves
+    at K = 0 and K = pi have weight exactly 0.
     """
     orb = spectrum.orbits
-    ground = spectrum.blocks[0].vectors[:, 0]
+    zero = spectrum.blocks[0]
+    ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0]).real
     occ0 = basis.occ[:, 0]
-    weights = np.empty(spectrum.energies.size)
+    weights = np.zeros(spectrum.energies.size)
     for block in spectrum.blocks:
         phase = _bloch_phase(block.k, orb.shift, basis.L)
         fourier = np.zeros(orb.size.size, dtype=phase.dtype)
         np.add.at(fourier, orb.index, phase * occ0)
-        cols = block.orbits
-        rhs = ground[cols] * fourier[cols] / orb.size[cols]
-        amplitude = block.vectors.conj().T @ rhs
+        cols = block.frame.orbits
+        rhs = block.frame.coordinates(ground[cols] * fourier[cols] / orb.size[cols])
+        amplitude = block.vectors.T @ rhs[:block.vectors.shape[0]]
         if block.k == 0:
             # <n|n_j|0> is the same on every site and sums to <n|N|0> = 0
             amplitude[1:] = 0.0
-        weights[block.slots] = np.abs(amplitude) ** 2
+        weights[block.slots[:, :amplitude.size]] = amplitude ** 2
     return weights
 
 

@@ -9,6 +9,7 @@ on purpose, so a shared bug with the library code is unlikely.
 import math
 
 import numpy as np
+import scipy.sparse
 
 
 def boson_states(L, N):
@@ -55,6 +56,35 @@ def ground_vector(states, u_over_j):
     h = dense_hamiltonian(states, u_over_j)
     w, v = np.linalg.eigh(h)
     return w[0], v[:, 0]
+
+
+def bloch_block(ham, k):
+    """Complex Bloch block of momentum K = 2 pi k / L, from explicit Bloch vectors.
+
+    Column r of W is |r,K> = p^-1/2 sum_s e^{-iKs} T^s|r> over the basis of
+    ham, built from the orbit table; the block is W^H H W with H and W
+    sparse.  Returns (orbits spanning the block, dense block).
+    """
+    orb, L, dim = ham.orbits, ham.L, ham.dim
+    allowed = np.flatnonzero(k * orb.size % L == 0)
+    column = np.full(orb.size.size, -1)
+    column[allowed] = np.arange(allowed.size)
+    states = np.flatnonzero(column[orb.index] >= 0)
+    K = 2.0 * math.pi * k / L
+    coef = np.exp(-1j * K * orb.shift[states]) / np.sqrt(orb.size[orb.index[states]])
+    w = scipy.sparse.csr_matrix((coef, (states, column[orb.index[states]])),
+                                shape=(dim, allowed.size))
+    upper = scipy.sparse.csr_matrix((ham.vals, (ham.rows, ham.cols)), shape=(dim, dim))
+    h = upper + upper.T + scipy.sparse.diags(ham.diag)
+    return allowed, (w.conj().T @ h @ w).toarray()
+
+
+def frame_unitary(frame):
+    """Sparse change of basis U[c, alpha] from Bloch columns to frame vectors."""
+    n = frame.orbits.size
+    return scipy.sparse.csr_matrix(
+        (frame.coef.ravel(), (np.tile(np.arange(n), 2), frame.col.ravel())),
+        shape=(n, n))
 
 
 def dense_channel_table(states, u_over_j):

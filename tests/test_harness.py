@@ -5,10 +5,12 @@ import os
 
 import pytest
 
+import mottscope.cli as cli
 from mottscope.cli import main, parse_axis, parse_int_axis
 from mottscope.errors import ValidationError
 from mottscope.harness import (CSV_COLUMNS, ComparisonRecord, ScanPlan,
-                               compare, critical_points_report, fmt_float,
+                               compare, critical_points_report,
+                               delta_undefined, fmt_float,
                                rows_to_csv, rows_to_json, run_compare,
                                run_scan, validate_plan)
 from mottscope.scatter import CrossSectionRecord
@@ -41,6 +43,12 @@ def test_fmt_float_golden():
     (dict(lambda_source="exact"), "lambda_source"),
     (dict(j_er=0.0), "must be positive"),
     (dict(jobs=0), "jobs must be >= 1"),
+    (dict(u_over_j=[float("nan")]), "u_over_j must be finite"),
+    (dict(thetas=[float("inf")]), "thetas must be finite"),
+    (dict(eins=[float("inf")]), "eins must be finite"),
+    (dict(mass_ratio=float("nan")), "mass_ratio must be finite"),
+    (dict(v0_er=float("inf")), "v0_er must be finite"),
+    (dict(j_er=float("nan")), "j_er must be finite"),
 ])
 def test_validate_plan_rejections(overrides, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -185,6 +193,22 @@ def test_compare_basic_and_undefined():
     assert rec.sce_value == 1.02
 
 
+def test_undefined_delta_is_kinematic():
+    # a vanishing reference is exact zero or zero momentum transfer, never
+    # a small number: rounding noise at theta = 0 is flagged, a genuinely
+    # tiny value elsewhere is not
+    assert delta_undefined(0.0, -3.7)
+    assert delta_undefined(2.9e-31, 0.0)
+    assert not delta_undefined(1e-31, -3.7)
+    params = {"Ein_Er": 2.0, "mass_ratio": 1.0}
+    sc = CrossSectionRecord("sce", 1.0, 3, {})
+    forward = CrossSectionRecord("exact", 1.1e-30, 3, {**params, "theta": 0.0})
+    assert compare(forward, sc).undefined
+    tilted = CrossSectionRecord("exact", 1e-31, 3, {**params, "theta": 0.99})
+    rec = compare(tilted, sc)
+    assert not rec.undefined and rec.delta_ics == pytest.approx(1e31)
+
+
 def test_run_compare_triplets():
     rows = run_compare(small_plan())
     assert [r["method"] for r in rows] == ["exact", "sce", "compare"]
@@ -325,6 +349,50 @@ def test_cli_rejects_bad_input(capsys, no_cache_env):
     assert "mottscope: expected integers" in capsys.readouterr().err
     assert main(["sce", "--sites", "3", "--u-over-j", "5:1"]) == 2
     assert "bad range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,fragment", [
+    ("--u-over-j", "nan", "u_over_j must be finite"),
+    ("--theta", "nan", "thetas must be finite"),
+    ("--ein", "inf", "eins must be finite"),
+    ("--mass-ratio", "nan", "mass_ratio must be finite"),
+    ("--v0", "inf", "v0_er must be finite"),
+    ("--j-er", "nan", "j_er must be finite"),
+    ("--mass-ratio", "heavy", "bad mass_ratio value"),
+    ("--jobs", "two", "bad jobs value"),
+])
+def test_cli_rejects_non_finite_and_unparsable_numbers(flag, value, fragment,
+                                                      capsys, no_cache_env):
+    assert main(["sce", "--sites", "3", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err and captured.out == ""
+
+
+def test_cli_config_file_errors_exit_2(tmp_path, capsys, no_cache_env):
+    missing = tmp_path / "missing.cfg"
+    for command in ("sce", "critical"):
+        assert main([command, "--config", str(missing)]) == 2
+        assert "missing.cfg" in capsys.readouterr().err
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("sites 3\n")
+    assert main(["exact", "--config", str(bare)]) == 2
+    assert "expected 'key = value'" in capsys.readouterr().err
+
+
+def test_cli_reads_config_once(tmp_path, monkeypatch, capsys, no_cache_env):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("sites = 3\nu_over_j = 5\n")
+    reads = []
+    original = cli.read_config_file
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli, "read_config_file", counting)
+    assert main(["sce", "--config", str(cfg)]) == 0
+    assert reads == [str(cfg)]
+    assert capsys.readouterr().out.splitlines()[1].startswith("3,1,3,")
 
 
 def test_cli_emits_error_rows(capsys, no_cache_env):

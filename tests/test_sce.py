@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
 from mottscope.errors import DomainError, NoRootError
 from mottscope.fock import enumerate_basis
-from mottscope.scatter import elastic_kappa, interference
+from mottscope.scatter import elastic_kappa, form_factor, interference
 from mottscope.sce import (critical_j, density_matrix_element,
                            effective_tunneling, energy_gap,
                            inelastic_cs_sce, large_l_cs, ph_energies,
@@ -215,6 +215,57 @@ def test_sce_reference_values():
     assert r1.channel_count == r2.channel_count == 25
     assert r1.method == "sce"
     assert r1.params["gap_order"] == 1
+
+
+@pytest.mark.parametrize("m,delta", [(-1, 3e-7), (-2, -2e-6), (1, 1e-4),
+                                     (-3, 5e-3), (2, -4e-8)])
+def test_sce_lattice_sum_near_distant_peaks(m, delta):
+    # one channel's kappa a hair away from q + 2 pi m: the cross section must
+    # keep the accuracy of the explicit phase sum |sum_j e^{i(kappa-q)j}|^2
+    mpmath = pytest.importorskip("mpmath")
+    L, nu, Ein = 12, 1, 40.0
+    lattice, u = LatticeSpec(L=L, nu=nu), InteractionSpec(U_over_J=20.0)
+    q_d, k_d = ph_momentum_grids(L)
+    gap = 1.0 - ph_energy_first_order(q_d[:, None], k_d[None, :], nu) / 20.0
+    radicand = 1.0 - u.U_Er(lattice.J_Er) * gap / Ein
+    j, i = 5, 3
+    target = 2.0 * math.pi * (j / L + m) + delta
+    theta = math.asin(-target / (math.pi * math.sqrt(Ein * radicand[j, i])))
+    probe = ProbeSpec(Ein_Er=Ein, theta=theta)
+    kappa = elastic_kappa(probe) * np.sqrt(radicand)
+    assert (radicand > 0).all()
+    assert abs(kappa[j, i] - target) < 1e-12
+
+    mpmath.mp.dps = 40
+    two_pi = 2 * mpmath.pi
+
+    def phase_sum(kap, jq):
+        phi = mpmath.mpf(float(kap)) - two_pi * jq / L
+        return float(abs(mpmath.fsum(mpmath.expj(phi * s) for s in range(L))) ** 2)
+
+    brute = np.array([[phase_sum(kappa[a, b], a) for b in range(L - 1)]
+                      for a in range(L)])
+    terms = (np.sqrt(radicand) * np.abs(density_matrix_element(
+        q_d[:, None], k_d[None, :], nu, L)) ** 2 * brute
+        * form_factor(kappa, lattice.V0_Er) ** 2)
+    expected = terms.sum() * 2.0 * (nu + 1) / L**3 / 20.0**2
+    rec = inelastic_cs_sce(lattice, probe, u)
+    assert rec.value == pytest.approx(expected, rel=1e-13)
+
+
+def test_second_order_grid_matches_scalar_calls():
+    for L, nu in [(3, 1), (4, 2), (12, 1), (12, 2)]:
+        q_d, k_d = ph_momentum_grids(L)
+        grid = ph_energy_second_order(q_d[:, None], k_d[None, :], nu, L)
+        loop = [[ph_energy_second_order(float(q), float(k), nu, L) for k in k_d]
+                for q in q_d]
+        assert isinstance(loop[0][0], float)
+        assert np.array_equal(grid, np.array(loop))
+    # the q = 0 branch is picked by the mask on every image of q = 0
+    zero = ph_energy_second_order(np.array([0.0, 2.0 * math.pi]), 0.7, 2, 7)
+    assert zero[0] == pytest.approx(zero[1], rel=1e-12)
+    assert ph_energy_second_order(2.0 * math.pi, 0.7, 2, 7) \
+        == ph_energy_second_order(2.0 * math.pi, 0.7, 2, 7, _force_delta=1)
 
 
 def test_sce_quadratic_law_at_fixed_interaction_energy():

@@ -11,7 +11,8 @@ from mottscope.spectrum import (build_hamiltonian, cache_key, diagonalize,
                                 load_spectrum, save_spectrum,
                                 spectrum_cache_path, translation_orbits)
 
-from oracles import boson_states, dense_hamiltonian, ground_vector
+from oracles import (bloch_block, boson_states, dense_hamiltonian,
+                     frame_unitary, ground_vector)
 
 
 def build(L, nu, u):
@@ -83,10 +84,10 @@ def test_bloch_blocks_are_hermitian_and_complete(L, nu, u):
     sizes = 0
     eigs = []
     for k in range(L):
-        allowed, block = ham.bloch_block(k)
+        allowed, block = bloch_block(ham, k)
         assert np.abs(block - block.conj().T).max() < 1e-13
         # k = 0 and K = pi blocks are real, the others complex
-        assert np.isrealobj(block) == (2 * k % L == 0)
+        assert (np.abs(block.imag).max() < 1e-13) == (2 * k % L == 0)
         sizes += allowed.size
         eigs.append(np.linalg.eigvalsh(block))
     assert sizes == ham.dim
@@ -96,6 +97,56 @@ def test_bloch_blocks_are_hermitian_and_complete(L, nu, u):
     # reflection: K and -K blocks share their spectrum
     for k in range(1, L):
         np.testing.assert_allclose(eigs[k], eigs[L - k], rtol=0, atol=1e-10)
+    # the real frame blocks that diagonalize solves have the same spectra
+    for k in range(L // 2 + 1):
+        _, real = ham.frame_block(k)
+        assert real.dtype == np.float64
+        np.testing.assert_allclose(np.linalg.eigvalsh(real), eigs[k],
+                                   rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("L,nu", [(L, 1) for L in range(2, 9)]
+                         + [(L, 2) for L in range(2, 7)])
+def test_frames_make_every_block_real(L, nu):
+    _, _, ham = build(L, nu, 7.0)
+    for k in range(L // 2 + 1):
+        frame, real = ham.frame_block(k)
+        allowed, block = bloch_block(ham, k)
+        assert np.array_equal(frame.orbits, allowed)
+        u = frame_unitary(frame)
+        n = allowed.size
+        assert np.abs((u.conj().T @ u).toarray() - np.eye(n)).max() < 1e-14
+        scale = np.abs(block).max()
+        moved = u.conj().T @ (u.T @ block.T).T      # U^H B U, U sparse
+        # the Bloch block in the frame is real, and it is the assembled block
+        assert np.abs(moved.imag).max() <= 1e-12 * scale
+        assert np.abs(moved.real - real).max() <= 1e-12 * scale
+        assert np.abs(real - real.T).max() <= 1e-12 * scale
+        if 2 * k % L == 0:
+            # reflection parity: the even and odd halves do not couple
+            assert np.abs(real[:frame.even, frame.even:]).max(initial=0.0) \
+                <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("L,nu", [(L, 1) for L in range(2, 8)]
+                         + [(L, 2) for L in range(2, 6)])
+def test_block_spectra_cover_the_sector(L, nu):
+    _, basis, ham = build(L, nu, 7.0)
+    spec = diagonalize(ham)
+    np.testing.assert_allclose(spec.energies_J,
+                               np.linalg.eigvalsh(ham.to_dense()),
+                               rtol=0, atol=1e-10)
+    assert spec.ground_index == 0 and spec.momentum[0] == 0
+    weights = ground_matrix_elements(spec, basis)
+    assert weights[0] == pytest.approx(nu ** 2, abs=1e-12)
+    for block in spec.blocks:
+        m = block.vectors.shape[1]
+        if 2 * block.k % L == 0:
+            assert m == block.frame.even
+            # odd halves: eigenvalues only, and weight exactly 0
+            assert (weights[block.slots[:, m:]] == 0.0).all()
+        else:
+            assert m == block.frame.orbits.size
 
 
 def test_deep_mott_ground_state():
@@ -103,7 +154,9 @@ def test_deep_mott_ground_state():
     spec = diagonalize(ham)
     mott = ham.orbits.index[basis.rank([1, 1, 1, 1])]
     assert spec.momentum[spec.ground_index] == 0
-    assert abs(spec.blocks[0].vectors[mott, 0]) > 1.0 - 1e-9
+    zero = spec.blocks[0]
+    ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0])
+    assert abs(ground[mott]) > 1.0 - 1e-9
 
 
 def test_diagonalize_properties():
@@ -118,17 +171,22 @@ def test_diagonalize_properties():
     # every block: residuals, orthonormality, table rows at its momenta
     assert [b.k for b in spec.blocks] == [0, 1, 2]
     for block in spec.blocks:
-        allowed, matrix = ham.bloch_block(block.k)
-        assert np.array_equal(block.orbits, allowed)
-        energies = spec.energies_J[block.slots[0]]
-        resid = matrix @ block.vectors - block.vectors * energies
+        frame, matrix = ham.frame_block(block.k)
+        assert np.array_equal(block.frame.orbits, frame.orbits)
+        # vectors span the even half at K = 0 and pi, the whole block otherwise
+        m = block.vectors.shape[0]
+        energies = spec.energies_J[block.slots[0, :m]]
+        resid = matrix[:m, :m] @ block.vectors - block.vectors * energies
         assert np.abs(resid).max() < 1e-10
-        gram = block.vectors.conj().T @ block.vectors
-        assert np.abs(gram - np.eye(allowed.size)).max() < 1e-12
+        gram = block.vectors.T @ block.vectors
+        assert np.abs(gram - np.eye(m)).max() < 1e-12
+        np.testing.assert_allclose(spec.energies_J[block.slots[0, m:]],
+                                   np.linalg.eigvalsh(matrix[m:, m:]),
+                                   rtol=0, atol=1e-10)
         partners = sorted({block.k, -block.k % 4})
         for row, k in zip(block.slots, partners):
             assert (spec.momentum[row] == k).all()
-            assert np.array_equal(spec.energies_J[row], energies)
+            assert np.array_equal(spec.energies_J[row], spec.energies_J[block.slots[0]])
     # E_r energies are exactly the J-unit energies times the scale
     assert np.array_equal(spec.energies, spec.energies_J * 6.5e-3)
     with pytest.raises(ValueError):
