@@ -19,6 +19,7 @@ from .errors import RangeError, ValidationError
 from .harness import (CRITICAL_COLUMNS, CSV_COLUMNS, ScanPlan,
                       critical_points_report, rows_to_csv, rows_to_json,
                       run_compare, run_scan)
+from .meanfield import LAMBDA_SOURCES
 
 _DEFAULTS = {
     "sites": "8",
@@ -82,7 +83,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--j-er", dest="j_er", help="tunneling energy in recoil units")
     sub.add_argument("--gap-order", dest="gap_order", choices=["1", "2"])
     sub.add_argument("--lambda-source", dest="lambda_source",
-                     choices=["perturbative", "iterative"])
+                     choices=LAMBDA_SOURCES)
     sub.add_argument("--format", choices=["csv", "json"])
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--cache-dir", dest="cache_dir")

@@ -1,14 +1,14 @@
-"""Unit conventions and validated run configuration.
+"""Unit conventions, parameter specs and the config-file reader.
 
 Energies are measured in lattice recoil units E_r and lengths in units of
 the lattice constant d, so transferred momenta only ever appear through
 the dimensionless product kappa*d.  The interaction strength is specified
-as U/J; its recoil-unit value follows from U_Er = (U/J) * J_Er.
+as U/J; its recoil-unit value follows from U_Er = (U/J) * J_Er.  Ranges
+are checked once, for a whole scan, by harness.validate_plan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import RangeError
@@ -48,54 +48,6 @@ class InteractionSpec:
 
     def U_Er(self, J_Er: float) -> float:
         return self.U_over_J * J_Er
-
-
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """Cross-checked parameter set with the derived quantities filled in."""
-
-    lattice: LatticeSpec
-    probe: ProbeSpec
-    interaction: InteractionSpec
-    N: int
-    U_Er: float
-    kappa_el_d: float
-
-
-def _require(cond: bool, field: str, message: str) -> None:
-    if not cond:
-        raise RangeError(f"{field}: {message}")
-
-
-def validate(lattice: LatticeSpec, probe: ProbeSpec,
-             interaction: InteractionSpec) -> ValidatedConfig:
-    """Check ranges and assemble a ValidatedConfig.
-
-    Raises RangeError naming the offending field.
-    """
-    _require(isinstance(lattice.L, int) and lattice.L >= 2, "L",
-             "need an integer site count >= 2")
-    _require(isinstance(lattice.nu, int) and lattice.nu >= 1, "nu",
-             "need an integer filling >= 1")
-    _require(lattice.V0_Er > 0, "V0_Er", "lattice depth must be positive")
-    _require(lattice.J_Er > 0, "J_Er", "tunneling energy must be positive")
-    _require(probe.Ein_Er > 0, "Ein_Er", "probe energy must be positive")
-    _require(probe.mass_ratio > 0, "mass_ratio", "mass ratio must be positive")
-    _require(-math.pi < probe.theta <= math.pi, "theta",
-             "scattering angle must lie in (-pi, pi]")
-    _require(interaction.U_over_J >= 0, "U_over_J",
-             "interaction strength must be non-negative")
-
-    from .scatter import elastic_kappa
-
-    return ValidatedConfig(
-        lattice=lattice,
-        probe=probe,
-        interaction=interaction,
-        N=lattice.N,
-        U_Er=interaction.U_Er(lattice.J_Er),
-        kappa_el_d=elastic_kappa(probe),
-    )
 
 
 def read_config_file(path: str) -> dict:

@@ -22,24 +22,6 @@ def dimension(L: int, N: int) -> int:
     return math.comb(N + L - 1, L - 1)
 
 
-def apply_hop(occ, i: int, j: int):
-    """Apply a_i^dag a_j to an occupation vector.
-
-    Returns (new_occ, amplitude) with amplitude sqrt((n_i+1) * n_j); when
-    the move annihilates an empty site the input state is returned with
-    amplitude 0.0 as a sentinel.
-    """
-    if i == j:
-        return tuple(occ), float(occ[i])
-    nj = occ[j]
-    if nj == 0:
-        return tuple(occ), 0.0
-    new = list(occ)
-    new[i] += 1
-    new[j] -= 1
-    return tuple(new), math.sqrt((occ[i] + 1) * nj)
-
-
 def _binomial_table(rows: int, cols: int) -> np.ndarray:
     table = np.zeros((rows, cols), dtype=np.int64)
     table[:, 0] = 1
@@ -62,26 +44,6 @@ class FockBasis:
     def __len__(self) -> int:
         return self.occ.shape[0]
 
-    def state(self, index: int) -> np.ndarray:
-        """Occupation vector stored at the given index (read-only view)."""
-        return self.occ[index]
-
-    def rank(self, occ) -> int:
-        """Index of an occupation vector within the enumeration order."""
-        arr = np.asarray(occ)
-        if arr.shape != (self.L,) or (arr < 0).any() or arr.sum() != self.N:
-            raise NotInBasisError(
-                f"occupation {list(occ)} is not a state of (L={self.L}, N={self.N})")
-        remaining = self.N
-        idx = 0
-        for j in range(self.L - 1):
-            s = self.L - 1 - j
-            skipped = remaining - int(arr[j]) - 1
-            if skipped >= 0:
-                idx += int(self._binom[skipped + s, s])
-            remaining -= int(arr[j])
-        return idx
-
     def rank_rows(self, occ: np.ndarray) -> np.ndarray:
         """Vectorized rank of a (n, L) block of valid occupation vectors."""
         remaining = self.N - np.cumsum(occ, axis=1) + occ
@@ -89,28 +51,6 @@ class FockBasis:
         first = remaining[:, :-1] - occ[:, :-1] - 1 + s
         # skipped = -1 maps to C(s-1, s) = 0, so no masking is needed
         return self._binom[first, s].sum(axis=1)
-
-    def unrank(self, index: int) -> np.ndarray:
-        """Occupation vector at the given index, rebuilt combinatorially."""
-        if not 0 <= index < len(self):
-            raise NotInBasisError(f"index {index} outside basis of size {len(self)}")
-        occ = np.zeros(self.L, dtype=np.int64)
-        remaining = self.N
-        i = index
-        for j in range(self.L - 1):
-            s = self.L - 1 - j
-            cum = 0
-            for m in range(remaining, -1, -1):
-                # compositions of remaining-m over the s trailing sites
-                size = int(self._binom[remaining - m + s - 1, s - 1])
-                if i < cum + size:
-                    occ[j] = m
-                    i -= cum
-                    remaining -= m
-                    break
-                cum += size
-        occ[self.L - 1] = remaining
-        return occ
 
 
 def enumerate_basis(L: int, N: int, cap: int = DEFAULT_DIM_CAP) -> FockBasis:

@@ -21,7 +21,7 @@ from .config import (DEFAULT_J_ER, DEFAULT_V0_ER, InteractionSpec,
                      LatticeSpec, ProbeSpec)
 from .errors import ValidationError
 from .fock import DEFAULT_DIM_CAP, dimension, enumerate_basis
-from .meanfield import critical_j_mf, inelastic_cs_mf
+from .meanfield import LAMBDA_SOURCES, critical_j_mf, inelastic_cs_mf
 from .scatter import CrossSectionRecord, elastic_kappa, inelastic_cs_exact
 from .sce import critical_j, inelastic_cs_sce, large_l_cs
 from .spectrum import (build_hamiltonian, cache_key, diagonalize,
@@ -86,6 +86,9 @@ def validate_plan(plan: ScanPlan) -> None:
         for x in getattr(plan, name):
             if not math.isfinite(x):
                 raise ValidationError(f"{name} must be finite, got {x}")
+    for theta in plan.thetas:
+        if not -math.pi < theta <= math.pi:
+            raise ValidationError(f"thetas must lie in (-pi, pi], got {theta}")
     for u in plan.u_over_j:
         if u < 0:
             raise ValidationError(f"u_over_j must be >= 0, got {u}")
@@ -94,9 +97,9 @@ def validate_plan(plan: ScanPlan) -> None:
             raise ValidationError(f"ein must be > 0, got {ein}")
     if plan.gap_order not in (1, 2):
         raise ValidationError(f"gap_order must be 1 or 2, got {plan.gap_order}")
-    if plan.lambda_source not in ("perturbative", "iterative"):
+    if plan.lambda_source not in LAMBDA_SOURCES:
         raise ValidationError(
-            f"lambda_source must be perturbative or iterative, got {plan.lambda_source!r}")
+            f"lambda_source must be one of {LAMBDA_SOURCES}, got {plan.lambda_source!r}")
     for name in ("mass_ratio", "v0_er", "j_er"):
         if not math.isfinite(getattr(plan, name)):
             raise ValidationError(f"{name} must be finite, got {getattr(plan, name)}")
@@ -220,44 +223,17 @@ def run_scan(plan: ScanPlan) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Relative inelastic-cross-section difference between two methods."""
-
-    delta_ics: float
-    exact_value: float
-    sce_value: float
-    undefined: bool = False
-
-
-def delta_undefined(exact_value: float, kappa_el: float) -> bool:
-    """Whether the relative difference to the exact value has no reference.
+def relative_delta(exact_value: float, sce_value: float,
+                   kappa_el: float) -> float | None:
+    """|exact - sce| / |exact|, or None when the exact value is no reference.
 
     With no elastic momentum transfer (kappa_el = 0, forward scattering)
     the exact inelastic sum vanishes identically and what it returns is
     rounding noise, so the rule is kinematic rather than a threshold.
     """
-    return exact_value == 0.0 or kappa_el == 0.0
-
-
-def _record_kappa_el(rec: CrossSectionRecord) -> float:
-    """Elastic momentum transfer of the probe a record echoes, nan if none."""
-    p = rec.params
-    if "theta" not in p:
-        return math.nan
-    return elastic_kappa(ProbeSpec(Ein_Er=p["Ein_Er"], theta=p["theta"],
-                                   mass_ratio=p["mass_ratio"]))
-
-
-def compare(exact_rec: CrossSectionRecord,
-            sce_rec: CrossSectionRecord) -> ComparisonRecord:
-    """Relative difference |exact - sce| / exact, flagged when exact vanishes."""
-    if delta_undefined(exact_rec.value, _record_kappa_el(exact_rec)):
-        return ComparisonRecord(delta_ics=0.0, exact_value=exact_rec.value,
-                                sce_value=sce_rec.value, undefined=True)
-    delta = abs(exact_rec.value - sce_rec.value) / abs(exact_rec.value)
-    return ComparisonRecord(delta_ics=delta, exact_value=exact_rec.value,
-                            sce_value=sce_rec.value)
+    if exact_value == 0.0 or kappa_el == 0.0:
+        return None
+    return abs(exact_value - sce_value) / abs(exact_value)
 
 
 def run_compare(plan: ScanPlan) -> list[dict]:
@@ -282,16 +258,16 @@ def run_compare(plan: ScanPlan) -> list[dict]:
             cmp_row["value"] = ""
             cmp_row["error"] = "ComparisonError: input row failed"
         else:
-            ex_val = float(ex_row["value"])
-            sc_val = float(sc_row["value"])
             probe = ProbeSpec(Ein_Er=float(ex_row["ein_er"]),
                               theta=float(ex_row["theta"]),
                               mass_ratio=plan.mass_ratio)
-            if delta_undefined(ex_val, elastic_kappa(probe)):
+            delta = relative_delta(float(ex_row["value"]), float(sc_row["value"]),
+                                   elastic_kappa(probe))
+            if delta is None:
                 cmp_row["value"] = ""
                 cmp_row["warning"] = "undefined_delta"
             else:
-                cmp_row["value"] = fmt_float(abs(ex_val - sc_val) / abs(ex_val))
+                cmp_row["value"] = fmt_float(delta)
         out.append(cmp_row)
     return out
 

@@ -18,8 +18,9 @@ import scipy.linalg
 
 from .config import InteractionSpec, LatticeSpec, ProbeSpec
 from .errors import DomainError, NonConvergenceError
-from .scatter import CrossSectionRecord, elastic_kappa, form_factor, _echo
+from .scatter import CrossSectionRecord, _echo, form_factor, open_channels
 
+LAMBDA_SOURCES = ("perturbative", "iterative")
 LAMBDA_VALIDITY = 0.1
 _COLLAPSE_FLOOR = 1e-10
 _MAX_ITER = 100_000
@@ -158,17 +159,21 @@ class MFContext:
     delta_minus: float
 
 
+def _check_lambda_source(lambda_source: str) -> None:
+    if lambda_source not in LAMBDA_SOURCES:
+        raise DomainError(
+            f"lambda_source must be one of {LAMBDA_SOURCES}, got {lambda_source!r}")
+
+
 def mf_context(nu: int, j_tilde: float, mu_tilde: float | None = None,
                lambda_source: str = "perturbative") -> MFContext:
+    _check_lambda_source(lambda_source)
     if mu_tilde is None:
         mu_tilde = mu_fixed_density(nu)
     if lambda_source == "perturbative":
         lam = math.sqrt(lambda_squared(nu, j_tilde, mu_tilde))
-    elif lambda_source == "iterative":
-        lam = selfconsistent_lambda(nu, j_tilde, mu_tilde)
     else:
-        raise DomainError(
-            f"lambda_source must be 'perturbative' or 'iterative', got {lambda_source!r}")
+        lam = selfconsistent_lambda(nu, j_tilde, mu_tilde)
     gaps = single_site_energies(nu, mu_tilde)
     return MFContext(
         nu=nu, mu_tilde=mu_tilde, j_tilde=j_tilde, lambda_tilde=lam,
@@ -189,35 +194,26 @@ def inelastic_cs_mf(lattice: LatticeSpec, probe: ProbeSpec, u: InteractionSpec,
     """
     if u.U_over_J <= 0:
         raise DomainError("mean-field pipeline needs U/J > 0")
+    _check_lambda_source(lambda_source)
     nu = lattice.nu
     j_tilde = 1.0 / u.U_over_J
     params = _echo(lattice, probe, u.U_over_J)
     params["lambda_source"] = lambda_source
     if j_tilde <= critical_j_mf(nu):
-        if lambda_source not in ("perturbative", "iterative"):
-            raise DomainError(
-                f"lambda_source must be 'perturbative' or 'iterative', got {lambda_source!r}")
         return CrossSectionRecord("mf", 0.0, 0, params)
     ctx = mf_context(nu, j_tilde, lambda_source=lambda_source)
     lam2 = ctx.lambda_tilde**2
     if lam2 == 0.0:
         return CrossSectionRecord("mf", 0.0, 0, params)
-    u_er = u.U_Er(lattice.J_Er)
-    kappa_el = elastic_kappa(probe)
-    value = 0.0
-    open_channels = 0
-    for delta, c in ((ctx.delta_plus, ctx.c_plus), (ctx.delta_minus, ctx.c_minus)):
-        radicand = 1.0 - u_er * delta / probe.Ein_Er
-        if radicand < 0.0:
-            continue
-        open_channels += 1
-        kappa = kappa_el * math.sqrt(radicand)
-        value += math.sqrt(radicand) * c**2 * form_factor(kappa, lattice.V0_Er) ** 2
-    value *= lam2 / nu
+    open_mask, root, kappa_d = open_channels(
+        u.U_Er(lattice.J_Er) * np.array([ctx.delta_plus, ctx.delta_minus]), probe)
+    c2 = np.array([ctx.c_plus**2, ctx.c_minus**2])
+    terms = root * c2 * form_factor(kappa_d, lattice.V0_Er) ** 2  # closed: root 0
+    open_count = int(open_mask.sum())
+    value = float(terms.sum()) * (lam2 / nu)
     warning = ""
-    if open_channels == 0:
+    if open_count == 0:
         warning = "no_open_channels"
-        value = 0.0
     elif ctx.lambda_tilde > LAMBDA_VALIDITY:
         warning = "lambda_validity"
-    return CrossSectionRecord("mf", value, open_channels, params, warning=warning)
+    return CrossSectionRecord("mf", value, open_count, params, warning=warning)

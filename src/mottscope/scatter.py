@@ -7,7 +7,8 @@ is the same interference kernel that the strong-coupling channels use.
 Every cross section is the angular density normalized by N and by the
 squared scattering length, in the diagonal (density-coupling) impulse
 approximation.  Channels with negative kinematic radicand are closed and
-dropped from the sums.
+dropped from the sums; open_channels decides which are open for every
+method.
 """
 
 from __future__ import annotations
@@ -50,16 +51,6 @@ def interference(kappa_d, q_d, L: int):
 
 
 @dataclass
-class Kinematics:
-    """Per-channel momentum transfer for a fixed probe and target spectrum."""
-
-    kappa_el_d: float
-    radicand: np.ndarray
-    open_mask: np.ndarray
-    kappa_d: np.ndarray
-
-
-@dataclass
 class CrossSectionRecord:
     """One computed cross section plus the bookkeeping the harness prints."""
 
@@ -71,17 +62,17 @@ class CrossSectionRecord:
     contributing_count: int | None = None
 
 
-def channel_kinematics(energies_er: np.ndarray, probe: ProbeSpec) -> Kinematics:
-    """Kinematic radicand and scattered momentum for every eigenstate."""
-    kappa_el = elastic_kappa(probe)
-    de = energies_er - energies_er[0]
-    radicand = 1.0 - de / probe.Ein_Er
-    open_mask = radicand >= 0.0
-    kappa_d = np.where(open_mask,
-                       kappa_el * np.sqrt(np.maximum(radicand, 0.0)),
-                       np.nan)
-    return Kinematics(kappa_el_d=kappa_el, radicand=radicand,
-                      open_mask=open_mask, kappa_d=kappa_d)
+def open_channels(excitation_er, probe: ProbeSpec):
+    """Open mask, kinematic root and scattered momentum of excitation channels.
+
+    A channel of excitation energy dE (in E_r) is open when the probe can
+    pay it, r = 1 - dE/E_in >= 0; it then scatters at kappa_el * sqrt(r).
+    Closed channels get root 0 and momentum transfer 0.  Every method
+    weights its channels through this kernel.
+    """
+    radicand = 1.0 - np.asarray(excitation_er, dtype=float) / probe.Ein_Er
+    root = np.sqrt(np.maximum(radicand, 0.0))
+    return radicand >= 0.0, root, elastic_kappa(probe) * root
 
 
 def _echo(lattice: LatticeSpec, probe: ProbeSpec, u_over_j) -> dict:
@@ -115,17 +106,18 @@ def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
     with w_n = |<n|n_0|0>|^2, and the total is normalized by the particle
     number.
     """
-    kin = channel_kinematics(spectrum.energies, probe)
-    idx = np.flatnonzero(kin.open_mask)
+    open_mask, root, kappa_d = open_channels(
+        spectrum.energies - spectrum.energies[0], probe)
+    idx = np.flatnonzero(open_mask)
     idx = idx[idx != spectrum.ground_index]
     params = _echo(lattice, probe, u_over_j)
     if idx.size == 0:
         return CrossSectionRecord("exact", 0.0, 0, params,
                                   warning="no_open_channels",
                                   contributing_count=0)
-    kd = kin.kappa_d[idx]
+    kd = kappa_d[idx]
     structure = weights[idx] * _lattice_sum(kd, spectrum.momentum[idx], lattice.L)
-    terms = np.sqrt(kin.radicand[idx]) * structure * form_factor(kd, lattice.V0_Er) ** 2
+    terms = root[idx] * structure * form_factor(kd, lattice.V0_Er) ** 2
     value = float(terms.sum() / lattice.N)
     # second open-channel bookkeeping: channels with actual spectral weight
     floor = 1e-24 * structure.max() if structure.size else 0.0

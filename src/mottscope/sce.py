@@ -11,15 +11,13 @@ J_tilde = J/U the small parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_J_ER, InteractionSpec, LatticeSpec, ProbeSpec
 from .errors import DomainError, NoRootError
-from .fock import FockBasis
 from .scatter import (CrossSectionRecord, _echo, _lattice_sum, elastic_kappa,
-                      form_factor)
+                      form_factor, open_channels)
 
 _QZERO_TOL = 1e-12
 
@@ -85,50 +83,6 @@ def ph_energy_second_order(q_d, k_d, nu: int, L: int, _force_delta=None):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class PHEnergies:
-    """First- and second-order energy coefficients and the hopping phase."""
-
-    first_order: float
-    second_order: float
-    phase: float
-
-
-def ph_energies(q_d: float, k_d: float, nu: int, L: int) -> PHEnergies:
-    return PHEnergies(
-        first_order=ph_energy_first_order(q_d, k_d, nu),
-        second_order=ph_energy_second_order(q_d, k_d, nu, L),
-        phase=tunneling_phase(q_d, nu),
-    )
-
-
-def ph_state_vector(q_d: float, k_d: float, basis: FockBasis) -> np.ndarray:
-    """Zeroth-order pair eigenstate as a vector over the full Fock basis.
-
-    Used by the verification oracles; the analytic pipeline never needs the
-    vector itself.
-    """
-    L = basis.L
-    if L < 3:
-        raise DomainError(f"pair states need L >= 3, got L={L}")
-    if basis.N % L != 0 or basis.N // L < 1:
-        raise DomainError(f"pair states need integer filling, got N={basis.N}, L={L}")
-    nu = basis.N // L
-    z = tunneling_phase(q_d, nu)
-    vec = np.zeros(len(basis), dtype=complex)
-    site_norm = math.sqrt(1.0 / L)
-    pair_norm = math.sqrt(2.0 / L)
-    base = np.full(L, nu, dtype=np.int64)
-    for l in range(1, L):
-        coef_l = pair_norm * math.sin(k_d * l) * np.exp(1j * z * l)
-        for s in range(1, L + 1):
-            occ = base.copy()
-            occ[s - 1] += 1
-            occ[(s - 1 + l) % L] -= 1
-            vec[basis.rank(occ)] += coef_l * site_norm * np.exp(1j * q_d * s)
-    return vec
-
-
 def density_matrix_element(q_d, k_d, nu: int, L: int):
     """Leading-order reduced density amplitude between pair state and ground.
 
@@ -169,18 +123,11 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
     gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
     if gap_order == 2:
         gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
-    u_er = u.U_Er(lattice.J_Er)
-    radicand = 1.0 - u_er * gap / probe.Ein_Er
-    open_mask = radicand >= 0.0
-    root = np.sqrt(np.maximum(radicand, 0.0))
-    kappa_d = elastic_kappa(probe) * root
+    open_mask, root, kappa_d = open_channels(u.U_Er(lattice.J_Er) * gap, probe)
     m2 = np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
-    terms = np.where(
-        open_mask,
-        root * m2
-        * _lattice_sum(kappa_d, np.arange(L)[:, None], L)
-        * form_factor(kappa_d, lattice.V0_Er) ** 2,
-        0.0)
+    # closed channels have root 0, so they add nothing
+    terms = (root * m2 * _lattice_sum(kappa_d, np.arange(L)[:, None], L)
+             * form_factor(kappa_d, lattice.V0_Er) ** 2)
     value = float(j_tilde**2 * 2.0 * (nu + 1) / L**3 * terms.sum())
     params = _echo(lattice, probe, u.U_over_J)
     params["gap_order"] = gap_order

@@ -6,10 +6,13 @@ of rank arrays, dense operator construction by explicit application, and
 brute-force perturbation theory instead of closed forms.  Slow and simple
 on purpose, so a shared bug with the library code is unlikely.
 """
+import cmath
 import math
 
 import numpy as np
 import scipy.sparse
+
+from mottscope.errors import DomainError
 
 
 def boson_states(L, N):
@@ -168,6 +171,33 @@ def pair_manifold_pt(L, nu, group_tol=1e-9):
         i = j
     groups.sort(key=lambda g: g[0])
     return groups
+
+
+def ph_state_vector(q_d, k_d, basis):
+    """Zeroth-order pair eigenstate |q, varkappa> as a vector over a Fock basis.
+
+    A particle on site s and a hole l sites further on, with amplitude
+    sqrt(2/L) sin(varkappa l) e^{i z l} e^{i q s} / sqrt(L), where z is the
+    phase of the pair-hopping amplitude (nu+1) e^{iq} + nu.  Basis rows are
+    looked up in a dict, not through the package's combinatorial rank.
+    """
+    L, N = basis.L, basis.N
+    if L < 3:
+        raise DomainError(f"pair states need L >= 3, got L={L}")
+    if N % L != 0 or N // L < 1:
+        raise DomainError(f"pair states need integer filling, got N={N}, L={L}")
+    nu = N // L
+    z = cmath.phase((nu + 1) * cmath.exp(1j * q_d) + nu)
+    index = {row: i for i, row in enumerate(map(tuple, basis.occ.tolist()))}
+    vec = np.zeros(len(index), dtype=complex)
+    for l in range(1, L):
+        coef = math.sqrt(2.0 / L) * math.sin(k_d * l) * cmath.exp(1j * z * l)
+        for s in range(1, L + 1):
+            occ = [nu] * L
+            occ[s - 1] += 1
+            occ[(s - 1 + l) % L] -= 1
+            vec[index[tuple(occ)]] += coef * cmath.exp(1j * q_d * s) / math.sqrt(L)
+    return vec
 
 
 def group_by_first(pairs, tol=1e-9):

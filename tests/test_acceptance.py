@@ -15,7 +15,7 @@ import pytest
 
 from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
 from mottscope.fock import enumerate_basis
-from mottscope.harness import compare
+from mottscope.harness import relative_delta
 from mottscope.meanfield import (critical_j_mf, lambda_squared,
                                  selfconsistent_lambda)
 from mottscope.scatter import (elastic_kappa, inelastic_cs_exact,
@@ -23,11 +23,11 @@ from mottscope.scatter import (elastic_kappa, inelastic_cs_exact,
 from mottscope.sce import (critical_j, density_matrix_element,
                            inelastic_cs_sce, large_l_cs,
                            ph_energy_first_order, ph_energy_second_order,
-                           ph_momentum_grids, ph_state_vector)
+                           ph_momentum_grids)
 from mottscope.spectrum import build_hamiltonian
 
 from oracles import (boson_states, density_fluctuation, ground_vector,
-                     group_by_first, pair_manifold_pt)
+                     group_by_first, pair_manifold_pt, ph_state_vector)
 
 PROBE = ProbeSpec(Ein_Er=2.0, theta=0.99)
 
@@ -171,7 +171,7 @@ def test_09_strong_coupling_matches_exact(sector_factory):
     inter = InteractionSpec(U_over_J=100.0)
     for order in (1, 2):
         sce = inelastic_cs_sce(lattice, PROBE, inter, gap_order=order)
-        delta = compare(exact, sce).delta_ics
+        delta = relative_delta(exact.value, sce.value, elastic_kappa(PROBE))
         print(f"measured: gap_order={order} delta_ICS = {delta * 100:.4f}% "
               f"(want < 5%)")
         assert delta < 0.05

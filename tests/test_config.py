@@ -4,9 +4,9 @@ import math
 import pytest
 
 from mottscope.config import (DEFAULT_J_ER, DEFAULT_V0_ER, InteractionSpec,
-                              LatticeSpec, ProbeSpec, read_config_file,
-                              validate)
-from mottscope.errors import RangeError
+                              LatticeSpec, ProbeSpec, read_config_file)
+from mottscope.errors import RangeError, ValidationError
+from mottscope.harness import ScanPlan, validate_plan
 
 
 def test_defaults():
@@ -33,14 +33,23 @@ def test_specs_are_frozen():
         probe.theta = 0.5
 
 
+def plan_of(lattice, probe, interaction):
+    """One-point scan plan carrying the specs; validate_plan is their only gate."""
+    return ScanPlan(sites=[lattice.L], fillings=[lattice.nu],
+                    u_over_j=[interaction.U_over_J], thetas=[probe.theta],
+                    eins=[probe.Ein_Er], mass_ratio=probe.mass_ratio,
+                    v0_er=lattice.V0_Er, j_er=lattice.J_Er)
+
+
+# spec field -> the plan field validate_plan names when it rejects it
+PLAN_FIELD = {"L": "sites", "nu": "fillings", "V0_Er": "v0_er", "J_Er": "j_er",
+              "Ein_Er": "ein", "mass_ratio": "mass_ratio", "theta": "thetas",
+              "U_over_J": "u_over_j"}
+
+
 def test_validate_happy_path():
-    cfg = validate(LatticeSpec(L=8, nu=1), ProbeSpec(Ein_Er=2.0, theta=0.99),
-                   InteractionSpec(U_over_J=10.0))
-    assert cfg.N == 8
-    assert cfg.U_Er == pytest.approx(0.065, rel=1e-15)
-    # elastic momentum transfer: -pi sin(theta) sqrt(mass_ratio * Ein)
-    assert cfg.kappa_el_d == pytest.approx(
-        -math.pi * math.sin(0.99) * math.sqrt(2.0), rel=1e-14)
+    validate_plan(plan_of(LatticeSpec(L=8, nu=1), ProbeSpec(Ein_Er=2.0, theta=0.99),
+                          InteractionSpec(U_over_J=10.0)))
 
 
 @pytest.mark.parametrize("lattice,probe,interaction,field", [
@@ -62,23 +71,26 @@ def test_validate_happy_path():
      InteractionSpec(U_over_J=-0.5), "U_over_J"),
 ])
 def test_validate_rejects(lattice, probe, interaction, field):
-    with pytest.raises(RangeError, match=rf"^{field}:"):
-        validate(lattice, probe, interaction)
+    with pytest.raises(ValidationError, match=PLAN_FIELD[field]):
+        validate_plan(plan_of(lattice, probe, interaction))
 
 
 def test_validate_rejects_float_site_count():
-    with pytest.raises(RangeError, match="^L:"):
-        validate(LatticeSpec(L=8.0, nu=1), ProbeSpec(Ein_Er=2.0, theta=0.99),
-                 InteractionSpec(U_over_J=1.0))
+    with pytest.raises(ValidationError, match="sites must be integers"):
+        validate_plan(plan_of(LatticeSpec(L=8.0, nu=1),
+                              ProbeSpec(Ein_Er=2.0, theta=0.99),
+                              InteractionSpec(U_over_J=1.0)))
 
 
 def test_theta_boundaries():
     for theta in (math.pi, -math.pi + 1e-12, 0.0):
-        validate(LatticeSpec(L=4, nu=1), ProbeSpec(Ein_Er=1.0, theta=theta),
-                 InteractionSpec(U_over_J=1.0))
-    with pytest.raises(RangeError, match="^theta:"):
-        validate(LatticeSpec(L=4, nu=1), ProbeSpec(Ein_Er=1.0, theta=-math.pi),
-                 InteractionSpec(U_over_J=1.0))
+        validate_plan(plan_of(LatticeSpec(L=4, nu=1),
+                              ProbeSpec(Ein_Er=1.0, theta=theta),
+                              InteractionSpec(U_over_J=1.0)))
+    with pytest.raises(ValidationError, match="thetas must lie in"):
+        validate_plan(plan_of(LatticeSpec(L=4, nu=1),
+                              ProbeSpec(Ein_Er=1.0, theta=-math.pi),
+                              InteractionSpec(U_over_J=1.0)))
 
 
 def test_read_config_file(tmp_path):

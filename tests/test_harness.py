@@ -1,6 +1,7 @@
 """Scan harness, method comparison, serialization, and the CLI."""
 
 import json
+import math
 import os
 
 import pytest
@@ -8,12 +9,10 @@ import pytest
 import mottscope.cli as cli
 from mottscope.cli import main, parse_axis, parse_int_axis
 from mottscope.errors import ValidationError
-from mottscope.harness import (CSV_COLUMNS, ComparisonRecord, ScanPlan,
-                               compare, critical_points_report,
-                               delta_undefined, fmt_float,
-                               rows_to_csv, rows_to_json, run_compare,
-                               run_scan, validate_plan)
-from mottscope.scatter import CrossSectionRecord
+from mottscope.harness import (CSV_COLUMNS, ScanPlan, critical_points_report,
+                               fmt_float, relative_delta, rows_to_csv,
+                               rows_to_json, run_compare, run_scan,
+                               validate_plan)
 
 
 def small_plan(**overrides) -> ScanPlan:
@@ -49,6 +48,10 @@ def test_fmt_float_golden():
     (dict(mass_ratio=float("nan")), "mass_ratio must be finite"),
     (dict(v0_er=float("inf")), "v0_er must be finite"),
     (dict(j_er=float("nan")), "j_er must be finite"),
+    (dict(v0_er=0.0), "must be positive"),
+    (dict(mass_ratio=0.0), "must be positive"),
+    (dict(thetas=[4.0]), "thetas must lie in"),
+    (dict(thetas=[-math.pi]), "thetas must lie in"),
 ])
 def test_validate_plan_rejections(overrides, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -181,32 +184,18 @@ def test_run_scan_spectrum_failure_hits_dependent_rows_only(tmp_path):
 
 
 def test_compare_basic_and_undefined():
-    ex = CrossSectionRecord("exact", 1.0, 3, {})
-    sc = CrossSectionRecord("sce", 1.02, 3, {})
-    rec = compare(ex, sc)
-    assert isinstance(rec, ComparisonRecord)
-    assert rec.delta_ics == pytest.approx(0.02, abs=1e-12)
-    assert not rec.undefined
-    rec = compare(CrossSectionRecord("exact", 0.0, 0, {}), sc)
-    assert rec.undefined
-    assert rec.delta_ics == 0.0
-    assert rec.sce_value == 1.02
+    assert relative_delta(1.0, 1.02, -3.7) == pytest.approx(0.02, abs=1e-12)
+    assert relative_delta(-2.0, -1.0, 3.7) == 0.5
+    assert relative_delta(0.0, 1.02, -3.7) is None
 
 
 def test_undefined_delta_is_kinematic():
     # a vanishing reference is exact zero or zero momentum transfer, never
     # a small number: rounding noise at theta = 0 is flagged, a genuinely
     # tiny value elsewhere is not
-    assert delta_undefined(0.0, -3.7)
-    assert delta_undefined(2.9e-31, 0.0)
-    assert not delta_undefined(1e-31, -3.7)
-    params = {"Ein_Er": 2.0, "mass_ratio": 1.0}
-    sc = CrossSectionRecord("sce", 1.0, 3, {})
-    forward = CrossSectionRecord("exact", 1.1e-30, 3, {**params, "theta": 0.0})
-    assert compare(forward, sc).undefined
-    tilted = CrossSectionRecord("exact", 1e-31, 3, {**params, "theta": 0.99})
-    rec = compare(tilted, sc)
-    assert not rec.undefined and rec.delta_ics == pytest.approx(1e31)
+    assert relative_delta(2.9e-31, 1.0, 0.0) is None
+    assert relative_delta(1.1e-30, 1.0, 0.0) is None
+    assert relative_delta(1e-31, 1.0, -3.7) == pytest.approx(1e31)
 
 
 def test_run_compare_triplets():
@@ -360,10 +349,12 @@ def test_cli_rejects_bad_input(capsys, no_cache_env):
     ("--j-er", "nan", "j_er must be finite"),
     ("--mass-ratio", "heavy", "bad mass_ratio value"),
     ("--jobs", "two", "bad jobs value"),
+    ("--theta", "7", "thetas must lie in (-pi, pi]"),
+    ("--theta", "-3.141592653589793", "thetas must lie in (-pi, pi]"),
 ])
 def test_cli_rejects_non_finite_and_unparsable_numbers(flag, value, fragment,
                                                       capsys, no_cache_env):
-    assert main(["sce", "--sites", "3", flag, value]) == 2
+    assert main(["sce", "--sites", "3", f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert fragment in captured.err and captured.out == ""
 
@@ -402,3 +393,59 @@ def test_cli_emits_error_rows(capsys, no_cache_env):
     row = json.loads(capsys.readouterr().out)[0]
     assert row["error"].startswith("DomainError:")
     assert row["value"] is None
+
+
+# Captured from the CLI before the three methods shared one open-channel
+# kernel; every row must stay byte for byte the same.
+GOLDEN = [
+    (["scan", "--sites", "4", "--u-over-j", "5,40", "--theta", "0.99",
+      "--ein", "0.2,2.0", "--methods", "exact,sce,sce_largeL,mf"], """\
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e-01,exact,,2.53850829436e-01,30,,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e-01,sce,1,2.56642939736e-01,9,,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e-01,sce_largeL,,1.92989440495e-01,0,,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e-01,mf,,1.41121254121e+00,2,lambda_validity,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e+00,exact,,3.31535716356e-01,34,,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e+00,sce,1,4.32732310277e-01,9,,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e+00,sce_largeL,,4.91685510369e-01,0,,
+4,1,4,5.00000000000e+00,9.90000000000e-01,2.00000000000e+00,mf,,1.24651571471e+00,2,lambda_validity,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e-01,exact,,0.00000000000e+00,0,no_open_channels,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e-01,sce,1,0.00000000000e+00,0,no_open_channels,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e-01,sce_largeL,,3.01546000774e-03,0,high_ein_condition,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e-01,mf,,0.00000000000e+00,0,,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,exact,,7.47092213385e-03,34,,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,sce,1,7.38594218967e-03,9,,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,sce_largeL,,7.68258609951e-03,0,,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,mf,,0.00000000000e+00,0,,
+"""),
+    # at E_in = 0.025 E_r only the hole channel of the mean-field site is open
+    (["scan", "--sites", "5", "--u-over-j", "8,40", "--gap-order", "2",
+      "--lambda-source", "iterative", "--ein", "0.025,2.0",
+      "--methods", "sce,mf"], """\
+5,1,5,8.00000000000e+00,9.90000000000e-01,2.50000000000e-02,sce,2,5.81612898558e-04,2,,
+5,1,5,8.00000000000e+00,9.90000000000e-01,2.50000000000e-02,mf,,6.35414258395e-02,1,lambda_validity,
+5,1,5,8.00000000000e+00,9.90000000000e-01,2.00000000000e+00,sce,2,1.86012436098e-01,16,,
+5,1,5,8.00000000000e+00,9.90000000000e-01,2.00000000000e+00,mf,,2.84053585316e-01,2,lambda_validity,
+5,1,5,4.00000000000e+01,9.90000000000e-01,2.50000000000e-02,sce,2,0.00000000000e+00,0,no_open_channels,
+5,1,5,4.00000000000e+01,9.90000000000e-01,2.50000000000e-02,mf,,0.00000000000e+00,0,,
+5,1,5,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,sce,2,6.79599852968e-03,16,,
+5,1,5,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,mf,,0.00000000000e+00,0,,
+"""),
+    # the theta = 0 exact and sce values are rounding noise, so only the
+    # compare rows are pinned here
+    (["compare", "--sites", "4", "--u-over-j", "40", "--theta", "0,0.99"], """\
+4,1,4,4.00000000000e+01,0.00000000000e+00,2.00000000000e+00,compare,1,,,undefined_delta,
+4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,compare,1,1.13747597228e-02,,,
+"""),
+]
+
+
+def test_cli_rows_match_golden(capsys, no_cache_env):
+    for argv, expected in GOLDEN:
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        if argv[0] == "compare":
+            lines = [line for line in lines if ",compare," in line]
+        else:
+            lines = lines[1:]
+        assert lines == expected.splitlines(), argv

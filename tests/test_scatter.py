@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
-from mottscope.scatter import (_lattice_sum, channel_kinematics,
-                               elastic_cs_exact, elastic_kappa, form_factor,
-                               inelastic_cs_exact, interference)
+from mottscope.scatter import (_lattice_sum, elastic_cs_exact, elastic_kappa,
+                               form_factor, inelastic_cs_exact, interference,
+                               open_channels)
 
 from oracles import (boson_states, dense_channel_table, dense_inelastic_cs,
                      density_fluctuation, ground_vector)
@@ -66,17 +66,20 @@ def test_lattice_sum_near_distant_peaks():
 
 
 def test_channel_kinematics():
-    energies = np.array([0.0, 1.0, 2.0, 3.0])
-    kin = channel_kinematics(energies, PROBE)
-    np.testing.assert_allclose(kin.radicand, [1.0, 0.5, 0.0, -0.5], atol=1e-15)
-    assert kin.open_mask.tolist() == [True, True, True, False]
-    assert kin.kappa_d[0] == pytest.approx(kin.kappa_el_d, rel=1e-15)
-    assert kin.kappa_d[1] == pytest.approx(kin.kappa_el_d * math.sqrt(0.5), rel=1e-14)
-    assert kin.kappa_d[2] == 0.0
-    assert np.isnan(kin.kappa_d[3])
-    # energies measured from the ground state, not from zero
-    shifted = channel_kinematics(energies + 5.0, PROBE)
-    np.testing.assert_allclose(shifted.radicand, kin.radicand, atol=1e-15)
+    kappa_el = elastic_kappa(PROBE)
+    open_mask, root, kappa_d = open_channels([0.0, 1.0, 2.0, 3.0], PROBE)
+    assert open_mask.tolist() == [True, True, True, False]
+    np.testing.assert_allclose(root, [1.0, math.sqrt(0.5), 0.0, 0.0], atol=1e-15)
+    assert kappa_d[0] == kappa_el
+    assert kappa_d[1] == pytest.approx(kappa_el * math.sqrt(0.5), rel=1e-14)
+    assert kappa_d[2] == 0.0 and kappa_d[3] == 0.0   # at and past threshold
+    # any shape of excitation grid: the sce pair grid, the two mf gaps
+    grid = np.array([[0.5, 2.5], [4.0, 1.0]])
+    open_mask, root, kappa_d = open_channels(grid, PROBE)
+    assert open_mask.tolist() == [[True, False], [False, True]]
+    np.testing.assert_allclose(root ** 2, np.maximum(1.0 - grid / 2.0, 0.0),
+                               atol=1e-15)
+    np.testing.assert_array_equal(kappa_d, kappa_el * root)
 
 
 def fluct_reference(L, nu, u, probe):

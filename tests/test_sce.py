@@ -10,13 +10,12 @@ from mottscope.fock import enumerate_basis
 from mottscope.scatter import elastic_kappa, form_factor, interference
 from mottscope.sce import (critical_j, density_matrix_element,
                            effective_tunneling, energy_gap,
-                           inelastic_cs_sce, large_l_cs, ph_energies,
+                           inelastic_cs_sce, large_l_cs,
                            ph_energy_first_order, ph_energy_second_order,
-                           ph_momentum_grids, ph_state_vector,
-                           tunneling_phase)
+                           ph_momentum_grids, tunneling_phase)
 from mottscope.spectrum import build_hamiltonian
 
-from oracles import group_by_first, pair_manifold_pt
+from oracles import group_by_first, pair_manifold_pt, ph_state_vector
 
 PROBE = ProbeSpec(Ein_Er=2.0, theta=0.99)
 
@@ -95,13 +94,6 @@ def test_second_order_frozen_value():
         == pytest.approx(-13.159863945578232, rel=1e-13)
     with pytest.raises(DomainError):
         ph_energy_second_order(0.5, 0.5, 1, 2)
-
-
-def test_ph_energies_bundle():
-    e = ph_energies(0.9, 1.1, 2, 6)
-    assert e.first_order == pytest.approx(ph_energy_first_order(0.9, 1.1, 2))
-    assert e.second_order == pytest.approx(ph_energy_second_order(0.9, 1.1, 2, 6))
-    assert e.phase == pytest.approx(tunneling_phase(0.9, 2))
 
 
 @pytest.mark.parametrize("L,nu", [(4, 1), (5, 1), (4, 2)])

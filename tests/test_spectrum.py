@@ -152,7 +152,7 @@ def test_block_spectra_cover_the_sector(L, nu):
 def test_deep_mott_ground_state():
     _, basis, ham = build(4, 1, 1e6)
     spec = diagonalize(ham)
-    mott = ham.orbits.index[basis.rank([1, 1, 1, 1])]
+    mott = ham.orbits.index[basis.rank_rows(np.array([[1, 1, 1, 1]]))[0]]
     assert spec.momentum[spec.ground_index] == 0
     zero = spec.blocks[0]
     ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0])
