@@ -6,8 +6,8 @@ produce the same normalized cross sections, which makes desk-scale
 cross-validation cheap.
 """
 
-from .config import (DEFAULT_J_ER, DEFAULT_V0_ER, InteractionSpec, LatticeSpec,
-                     ProbeSpec, read_config_file)
+from .config import (DEFAULT_J_ER, DEFAULT_V0_ER, LatticeSpec, ProbeSpec,
+                     read_config_file)
 from .fock import DEFAULT_DIM_CAP, FockBasis, dimension, enumerate_basis
 from .spectrum import (HamiltonianMatrix, Spectrum, build_hamiltonian, cache_key,
                        diagonalize, ground_matrix_elements, lattice_bonds,
@@ -17,10 +17,9 @@ from .scatter import (CrossSectionRecord, elastic_cs_exact, elastic_kappa,
 from .sce import (critical_j, density_matrix_element, effective_tunneling,
                   energy_gap, inelastic_cs_sce, large_l_cs, ph_energy_first_order,
                   ph_energy_second_order, ph_momentum_grids, tunneling_phase)
-from .meanfield import (LAMBDA_SOURCES, MFContext, SingleSiteEnergies, c_coefficient,
-                        coupling_coefficients, critical_j_mf, inelastic_cs_mf,
-                        lambda_squared, mf_context, mu_fixed_density,
-                        selfconsistent_lambda, single_site_energies,
+from .meanfield import (LAMBDA_SOURCES, c_coefficient, coupling_coefficients,
+                        critical_j_mf, inelastic_cs_mf, lambda_squared,
+                        mu_fixed_density, selfconsistent_lambda,
                         single_site_energy)
 from .harness import (CSV_COLUMNS, ScanPlan, critical_points_report,
                       relative_delta, rows_to_csv, rows_to_json, run_compare,

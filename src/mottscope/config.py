@@ -2,9 +2,9 @@
 
 Energies are measured in lattice recoil units E_r and lengths in units of
 the lattice constant d, so transferred momenta only ever appear through
-the dimensionless product kappa*d.  The interaction strength is specified
-as U/J; its recoil-unit value follows from U_Er = (U/J) * J_Er.  Ranges
-are checked once, for a whole scan, by harness.validate_plan.
+the dimensionless product kappa*d.  The interaction strength is a plain
+float U/J; its recoil-unit value is (U/J) * J_Er.  Ranges are checked
+once, for a whole scan, by harness.validate_plan.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ class ProbeSpec:
     Ein_Er: float
     theta: float
     mass_ratio: float = 1.0
-
-
-@dataclass(frozen=True)
-class InteractionSpec:
-    """On-site repulsion in units of the tunneling energy."""
-
-    U_over_J: float
-
-    def U_Er(self, J_Er: float) -> float:
-        return self.U_over_J * J_Er
 
 
 def read_config_file(path: str) -> dict:

@@ -11,14 +11,14 @@ rest of the scan, and the disk cache stores exactly that.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .config import (DEFAULT_J_ER, DEFAULT_V0_ER, InteractionSpec,
-                     LatticeSpec, ProbeSpec)
+from .config import DEFAULT_J_ER, DEFAULT_V0_ER, LatticeSpec, ProbeSpec
 from .errors import ValidationError
 from .fock import DEFAULT_DIM_CAP, dimension, enumerate_basis
 from .meanfield import LAMBDA_SOURCES, critical_j_mf, inelastic_cs_mf
@@ -62,7 +62,13 @@ class ScanPlan:
     j_er: float = DEFAULT_J_ER
     cache_dir: str | None = None
     jobs: int = 1
-    dim_cap: int = DEFAULT_DIM_CAP
+
+
+def _check_fillings(fillings) -> None:
+    """The filling rule of scans and of the critical-point table."""
+    for nu in fillings:
+        if not isinstance(nu, int) or nu < 1:
+            raise ValidationError(f"fillings must be integers >= 1, got {nu!r}")
 
 
 def validate_plan(plan: ScanPlan) -> None:
@@ -79,9 +85,7 @@ def validate_plan(plan: ScanPlan) -> None:
     for L in plan.sites:
         if not isinstance(L, int) or L < 2:
             raise ValidationError(f"sites must be integers >= 2, got {L!r}")
-    for nu in plan.fillings:
-        if not isinstance(nu, int) or nu < 1:
-            raise ValidationError(f"fillings must be integers >= 1, got {nu!r}")
+    _check_fillings(plan.fillings)
     for name in ("u_over_j", "thetas", "eins"):
         for x in getattr(plan, name):
             if not math.isfinite(x):
@@ -105,16 +109,21 @@ def validate_plan(plan: ScanPlan) -> None:
             raise ValidationError(f"{name} must be finite, got {getattr(plan, name)}")
     if plan.mass_ratio <= 0 or plan.v0_er <= 0 or plan.j_er <= 0:
         raise ValidationError("mass_ratio, v0_er and j_er must be positive")
+    for ein in plan.eins:
+        # elastic_kappa takes sqrt(mass_ratio * ein); inf there prints nan
+        if not math.isfinite(plan.mass_ratio * ein):
+            raise ValidationError(
+                f"mass_ratio * ein must be finite, got {plan.mass_ratio} * {ein}")
     if plan.jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {plan.jobs}")
     if "exact" in plan.methods:
         for L in plan.sites:
             for nu in plan.fillings:
                 dim = dimension(L, nu * L)
-                if dim > plan.dim_cap:
+                if dim > DEFAULT_DIM_CAP:
                     raise ValidationError(
                         f"exact method refused: dimension {dim} for "
-                        f"(L={L}, nu={nu}) exceeds cap {plan.dim_cap}")
+                        f"(L={L}, nu={nu}) exceeds cap {DEFAULT_DIM_CAP}")
 
 
 def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
@@ -138,9 +147,9 @@ def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
             else:
                 if (cached_L, cached_N, cached_key) == (L, N, key):
                     return spec, weights
-    basis = enumerate_basis(L, N, cap=plan.dim_cap)
+    basis = enumerate_basis(L, N)
     lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
-    spec = diagonalize(build_hamiltonian(basis, InteractionSpec(U_over_J=u), lattice))
+    spec = diagonalize(build_hamiltonian(basis, u, lattice))
     weights = ground_matrix_elements(spec, basis)
     spec = spec.channel_table()
     if path:
@@ -169,21 +178,20 @@ def _evaluate(plan: ScanPlan, spectra: dict, L: int, nu: int, u: float,
     row = _blank_row(L, nu, u, theta, ein, method)
     lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
     probe = ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=plan.mass_ratio)
-    inter = InteractionSpec(U_over_J=u)
     try:
         if method == "exact":
             entry = spectra[(L, nu, cache_key(u))]
             if isinstance(entry, Exception):
                 raise entry
             spec, weights = entry
-            rec = inelastic_cs_exact(spec, weights, lattice, probe, u_over_j=u)
+            rec = inelastic_cs_exact(spec, weights, lattice, probe)
         elif method == "sce":
-            rec = inelastic_cs_sce(lattice, probe, inter, gap_order=plan.gap_order)
+            rec = inelastic_cs_sce(lattice, probe, u, gap_order=plan.gap_order)
             row["gap_order"] = str(plan.gap_order)
         elif method == "sce_largeL":
-            rec = large_l_cs(nu, probe, plan.v0_er, inter, J_Er=plan.j_er)
+            rec = large_l_cs(nu, probe, plan.v0_er, u, J_Er=plan.j_er)
         elif method == "mf":
-            rec = inelastic_cs_mf(lattice, probe, inter,
+            rec = inelastic_cs_mf(lattice, probe, u,
                                   lambda_source=plan.lambda_source)
         else:  # pragma: no cover - validate_plan blocks this
             raise ValidationError(f"unknown method {method!r}")
@@ -240,13 +248,15 @@ def run_compare(plan: ScanPlan) -> list[dict]:
     """Exact and strong-coupling rows plus a compare row per grid point.
 
     The compare value is computed from the printed cells, so it follows
-    the CSV to the last digit.
+    the CSV to the last digit; the kinematic rule reads the plan's probe,
+    since a printed theta of pi rounds to just above it.
     """
     base = ScanPlan(**{**plan.__dict__, "methods": ["exact", "sce"]})
     rows = run_scan(base)
+    grid = itertools.product(plan.sites, plan.fillings, plan.u_over_j,
+                             plan.thetas, plan.eins)
     out = []
-    for i in range(0, len(rows), 2):
-        ex_row, sc_row = rows[i], rows[i + 1]
+    for ex_row, sc_row, (_, _, _, theta, ein) in zip(rows[::2], rows[1::2], grid):
         out.extend([ex_row, sc_row])
         cmp_row = dict(ex_row)
         cmp_row["method"] = "compare"
@@ -258,9 +268,7 @@ def run_compare(plan: ScanPlan) -> list[dict]:
             cmp_row["value"] = ""
             cmp_row["error"] = "ComparisonError: input row failed"
         else:
-            probe = ProbeSpec(Ein_Er=float(ex_row["ein_er"]),
-                              theta=float(ex_row["theta"]),
-                              mass_ratio=plan.mass_ratio)
+            probe = ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=plan.mass_ratio)
             delta = relative_delta(float(ex_row["value"]), float(sc_row["value"]),
                                    elastic_kappa(probe))
             if delta is None:
@@ -274,6 +282,7 @@ def run_compare(plan: ScanPlan) -> list[dict]:
 
 def critical_points_report(nus: list[int]) -> list[dict]:
     """Critical couplings per filling from both approximation schemes."""
+    _check_fillings(nus)
     rows = []
     for nu in nus:
         sce_jc = critical_j(nu)

@@ -14,7 +14,7 @@ method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,12 @@ def form_factor(kappa_d, V0_Er: float):
 
 
 def elastic_kappa(probe: ProbeSpec) -> float:
-    """Elastic momentum transfer kappa_el*d; negative for forward angles."""
+    """Elastic momentum transfer kappa_el*d; negative for forward angles.
+
+    Exactly 0 at theta = 0 and at theta = pi, where math.sin leaves 1.2e-16.
+    """
+    if probe.theta == math.pi:
+        return 0.0
     return -math.pi * math.sin(probe.theta) * math.sqrt(
         probe.mass_ratio * probe.Ein_Er)
 
@@ -52,14 +57,11 @@ def interference(kappa_d, q_d, L: int):
 
 @dataclass
 class CrossSectionRecord:
-    """One computed cross section plus the bookkeeping the harness prints."""
+    """The three cells a scan row prints for one computed cross section."""
 
-    method: str
     value: float
     channel_count: int
-    params: dict = field(default_factory=dict)
     warning: str = ""
-    contributing_count: int | None = None
 
 
 def open_channels(excitation_er, probe: ProbeSpec):
@@ -73,15 +75,6 @@ def open_channels(excitation_er, probe: ProbeSpec):
     radicand = 1.0 - np.asarray(excitation_er, dtype=float) / probe.Ein_Er
     root = np.sqrt(np.maximum(radicand, 0.0))
     return radicand >= 0.0, root, elastic_kappa(probe) * root
-
-
-def _echo(lattice: LatticeSpec, probe: ProbeSpec, u_over_j) -> dict:
-    return {
-        "L": lattice.L, "nu": lattice.nu, "N": lattice.N,
-        "V0_Er": lattice.V0_Er, "J_Er": lattice.J_Er,
-        "Ein_Er": probe.Ein_Er, "theta": probe.theta,
-        "mass_ratio": probe.mass_ratio, "u_over_j": u_over_j,
-    }
 
 
 def _lattice_sum(kappa_d, k, L: int):
@@ -98,41 +91,29 @@ def _lattice_sum(kappa_d, k, L: int):
 
 
 def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
-                       probe: ProbeSpec, u_over_j=None) -> CrossSectionRecord:
+                       probe: ProbeSpec) -> CrossSectionRecord:
     """Sum of all open excitation channels weighted by density matrix elements.
 
-    Each open eigenstate n != 0, of lattice momentum K_n, contributes
+    Each open eigenstate n != 0 (entry 0 is the ground state), of lattice momentum K_n, contributes
     sqrt(radicand) * w_n * interference(kappa_n, K_n, L) * W(kappa_n)^2,
     with w_n = |<n|n_0|0>|^2, and the total is normalized by the particle
     number.
     """
     open_mask, root, kappa_d = open_channels(
         spectrum.energies - spectrum.energies[0], probe)
-    idx = np.flatnonzero(open_mask)
-    idx = idx[idx != spectrum.ground_index]
-    params = _echo(lattice, probe, u_over_j)
+    idx = np.flatnonzero(open_mask[1:]) + 1
     if idx.size == 0:
-        return CrossSectionRecord("exact", 0.0, 0, params,
-                                  warning="no_open_channels",
-                                  contributing_count=0)
+        return CrossSectionRecord(0.0, 0, warning="no_open_channels")
     kd = kappa_d[idx]
     structure = weights[idx] * _lattice_sum(kd, spectrum.momentum[idx], lattice.L)
     terms = root[idx] * structure * form_factor(kd, lattice.V0_Er) ** 2
-    value = float(terms.sum() / lattice.N)
-    # second open-channel bookkeeping: channels with actual spectral weight
-    floor = 1e-24 * structure.max() if structure.size else 0.0
-    contributing = int((structure > floor).sum())
-    return CrossSectionRecord("exact", value, int(idx.size), params,
-                              contributing_count=contributing)
+    return CrossSectionRecord(float(terms.sum() / lattice.N), int(idx.size))
 
 
 def elastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
-                     probe: ProbeSpec, u_over_j=None) -> CrossSectionRecord:
+                     probe: ProbeSpec) -> CrossSectionRecord:
     """Ground-state channel evaluated at the elastic momentum transfer."""
     kappa_el = elastic_kappa(probe)
-    value = float(weights[spectrum.ground_index]
-                  * _lattice_sum(kappa_el, 0, lattice.L)
+    value = float(weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
                   * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
-    params = _echo(lattice, probe, u_over_j)
-    params["channel"] = "elastic"
-    return CrossSectionRecord("exact", value, 1, params)
+    return CrossSectionRecord(value, 1)

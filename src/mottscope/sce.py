@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_J_ER, InteractionSpec, LatticeSpec, ProbeSpec
+from .config import DEFAULT_J_ER, LatticeSpec, ProbeSpec
 from .errors import DomainError, NoRootError
-from .scatter import (CrossSectionRecord, _echo, _lattice_sum, elastic_kappa,
+from .scatter import (CrossSectionRecord, _lattice_sum, elastic_kappa,
                       form_factor, open_channels)
 
 _QZERO_TOL = 1e-12
@@ -107,54 +107,48 @@ def density_matrix_element(q_d, k_d, nu: int, L: int):
 
 
 def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
-                     u: InteractionSpec, gap_order: int = 1) -> CrossSectionRecord:
+                     u_over_j: float, gap_order: int = 1) -> CrossSectionRecord:
     """Analytic inelastic cross section from the one-pair manifold."""
     if gap_order not in (1, 2):
         raise DomainError(f"gap_order must be 1 or 2, got {gap_order}")
-    if u.U_over_J <= 0:
+    if u_over_j <= 0:
         raise DomainError("strong-coupling expansion needs U/J > 0")
     L, nu = lattice.L, lattice.nu
     if L < 3:
         raise DomainError(f"strong-coupling pipeline needs L >= 3, got L={L}")
-    j_tilde = 1.0 / u.U_over_J
+    j_tilde = 1.0 / u_over_j
     q_d, k_d = ph_momentum_grids(L)
     qg = q_d[:, None]
     kg = k_d[None, :]
     gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
     if gap_order == 2:
         gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
-    open_mask, root, kappa_d = open_channels(u.U_Er(lattice.J_Er) * gap, probe)
+    open_mask, root, kappa_d = open_channels(u_over_j * lattice.J_Er * gap, probe)
     m2 = np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
     # closed channels have root 0, so they add nothing
     terms = (root * m2 * _lattice_sum(kappa_d, np.arange(L)[:, None], L)
              * form_factor(kappa_d, lattice.V0_Er) ** 2)
     value = float(j_tilde**2 * 2.0 * (nu + 1) / L**3 * terms.sum())
-    params = _echo(lattice, probe, u.U_over_J)
-    params["gap_order"] = gap_order
     warning = "" if open_mask.any() else "no_open_channels"
-    channel_count = int((open_mask & (m2 > 0.0)).sum())
-    return CrossSectionRecord("sce", value, channel_count, params, warning=warning)
+    return CrossSectionRecord(value, int((open_mask & (m2 > 0.0)).sum()), warning)
 
 
-def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u: InteractionSpec,
+def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,
                J_Er: float = DEFAULT_J_ER) -> CrossSectionRecord:
     """Thermodynamic-limit cross section, valid when E_in clears every pair gap.
 
     A warning flag is set when E_in/J fails to exceed
     U/J + 2 sqrt(4 nu (nu+1) + 1), the top of the pair band.
     """
-    if u.U_over_J <= 0:
+    if u_over_j <= 0:
         raise DomainError("strong-coupling expansion needs U/J > 0")
-    j_tilde = 1.0 / u.U_over_J
+    j_tilde = 1.0 / u_over_j
     kappa_el = elastic_kappa(probe)
     value = float(8.0 * (nu + 1) * math.sin(kappa_el / 2.0) ** 2
                   * form_factor(kappa_el, V0_Er) ** 2 * j_tilde**2)
-    band_top = u.U_over_J + 2.0 * math.sqrt(4.0 * nu * (nu + 1) + 1.0)
+    band_top = u_over_j + 2.0 * math.sqrt(4.0 * nu * (nu + 1) + 1.0)
     warning = "" if probe.Ein_Er / J_Er > band_top else "high_ein_condition"
-    params = {"nu": nu, "V0_Er": V0_Er, "J_Er": J_Er,
-              "Ein_Er": probe.Ein_Er, "theta": probe.theta,
-              "mass_ratio": probe.mass_ratio, "u_over_j": u.U_over_J}
-    return CrossSectionRecord("sce_largeL", value, 0, params, warning=warning)
+    return CrossSectionRecord(value, 0, warning)
 
 
 def energy_gap(j_tilde: float, L: int, nu: int) -> float:

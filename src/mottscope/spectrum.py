@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import InteractionSpec, LatticeSpec
+from .config import LatticeSpec
 from .errors import ConvergenceError
 from .fock import FockBasis
 
@@ -222,12 +222,12 @@ def lattice_bonds(L: int):
     return sorted({tuple(sorted((j, (j + 1) % L))) for j in range(L)})
 
 
-def build_hamiltonian(basis: FockBasis, interaction: InteractionSpec,
+def build_hamiltonian(basis: FockBasis, u_over_j: float,
                       lattice: LatticeSpec) -> HamiltonianMatrix:
     """Assemble the fixed-N Hamiltonian in units of J."""
     occ = basis.occ
     dim = len(basis)
-    diag = 0.5 * interaction.U_over_J * (occ * (occ - 1)).sum(axis=1).astype(float)
+    diag = 0.5 * u_over_j * (occ * (occ - 1)).sum(axis=1).astype(float)
 
     rows, cols, vals = [], [], []
     states = np.arange(dim)
@@ -288,7 +288,6 @@ class Spectrum:
     momentum: np.ndarray
     orbits: Orbits | None = None
     blocks: tuple = ()
-    ground_index: int = 0
 
     def __post_init__(self):
         self.energies.flags.writeable = False

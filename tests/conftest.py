@@ -1,6 +1,6 @@
 import pytest
 
-from mottscope.config import InteractionSpec, LatticeSpec
+from mottscope.config import LatticeSpec
 from mottscope.fock import enumerate_basis
 from mottscope.spectrum import build_hamiltonian, diagonalize, ground_matrix_elements
 
@@ -21,8 +21,7 @@ def sector_factory():
         if key not in cache:
             lattice = LatticeSpec(L=L, nu=nu)
             basis = enumerate_basis(L, lattice.N)
-            ham = build_hamiltonian(
-                basis, InteractionSpec(U_over_J=float(u_over_j)), lattice)
+            ham = build_hamiltonian(basis, float(u_over_j), lattice)
             spectrum = diagonalize(ham)
             cache[key] = (lattice, basis, spectrum.channel_table(),
                           ground_matrix_elements(spectrum, basis))

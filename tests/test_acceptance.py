@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
+from mottscope.config import LatticeSpec, ProbeSpec
 from mottscope.fock import enumerate_basis
 from mottscope.harness import relative_delta
 from mottscope.meanfield import (critical_j_mf, lambda_squared,
@@ -51,33 +51,27 @@ def test_02_spectral_span_anchor(mott_anchor):
 EIN_TABLE = [(2.73, 100.0), (0.6825, 88.2), (0.273, 25.3), (0.06825, 0.4)]
 
 
-def _channel_percentages(mott_anchor, ein):
+def _open_percentage(mott_anchor, ein):
     lattice, _, spectrum, me = mott_anchor
     rec = inelastic_cs_exact(spectrum, me, lattice,
-                             ProbeSpec(Ein_Er=ein, theta=0.99), u_over_j=10.0)
-    denom = spectrum.energies.size - 1
-    return (100.0 * rec.channel_count / denom,
-            100.0 * rec.contributing_count / denom)
+                             ProbeSpec(Ein_Er=ein, theta=0.99))
+    return 100.0 * rec.channel_count / (spectrum.energies.size - 1)
 
 
 @pytest.mark.parametrize("ein,want", EIN_TABLE)
 def test_03_open_channel_fractions(mott_anchor, ein, want):
-    p_open, p_contrib = _channel_percentages(mott_anchor, ein)
-    print(f"measured: E_in={ein} E_r -> open {p_open:.4f}%, "
-          f"weighted {p_contrib:.4f}% (want {want})")
-    assert want in (round(p_open, 1), round(p_contrib, 1))
+    p_open = _open_percentage(mott_anchor, ein)
+    print(f"measured: E_in={ein} E_r -> open {p_open:.4f}% (want {want})")
+    assert round(p_open, 1) == want
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "at E_in = 0.1365 E_r the open fraction is 3.3416% and the weighted one "
-    "2.7044%, measured on momentum eigenstates; neither rounds to the "
-    "tabulated 3.4%.  The open count does not depend on how eigenvectors "
-    "are chosen within a degenerate level; the weighted count does"))
+    "at E_in = 0.1365 E_r the open fraction is 3.3416%, which does not "
+    "round to the tabulated 3.4%"))
 def test_03_open_channel_fraction_lowest_energy(mott_anchor):
-    p_open, p_contrib = _channel_percentages(mott_anchor, 0.1365)
-    print(f"measured: E_in=0.1365 E_r -> open {p_open:.4f}%, "
-          f"weighted {p_contrib:.4f}% (want 3.4)")
-    assert 3.4 in (round(p_open, 1), round(p_contrib, 1))
+    p_open = _open_percentage(mott_anchor, 0.1365)
+    print(f"measured: E_in=0.1365 E_r -> open {p_open:.4f}% (want 3.4)")
+    assert round(p_open, 1) == 3.4
 
 
 def test_04_critical_couplings():
@@ -114,8 +108,7 @@ def test_06_pair_states_orthonormal_and_projected(L):
                             for q in q_grid for k in k_grid])
     gram_err = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max()
 
-    hop = build_hamiltonian(basis, InteractionSpec(U_over_J=0.0),
-                            lattice).to_dense()
+    hop = build_hamiltonian(basis, 0.0, lattice).to_dense()
     pair_diag = 0.5 * (basis.occ * (basis.occ - 1)).sum(axis=1)
     proj = np.where(pair_diag == 1, 1.0, 0.0)
     resid = 0.0
@@ -158,8 +151,7 @@ def test_08_quadratic_interaction_decay(sector_factory):
     values = []
     for u in us:
         lattice, _, spectrum, me = sector_factory(5, 1, float(u))
-        values.append(inelastic_cs_exact(spectrum, me, lattice, PROBE,
-                                         u_over_j=float(u)).value)
+        values.append(inelastic_cs_exact(spectrum, me, lattice, PROBE).value)
     slope = float(np.polyfit(np.log(us), np.log(values), 1)[0])
     print(f"measured: log-log slope = {slope:.4f} (want -2.00 +/- 0.05)")
     assert slope == pytest.approx(-2.00, abs=0.05)
@@ -167,10 +159,9 @@ def test_08_quadratic_interaction_decay(sector_factory):
 
 def test_09_strong_coupling_matches_exact(sector_factory):
     lattice, _, spectrum, me = sector_factory(6, 1, 100.0)
-    exact = inelastic_cs_exact(spectrum, me, lattice, PROBE, u_over_j=100.0)
-    inter = InteractionSpec(U_over_J=100.0)
+    exact = inelastic_cs_exact(spectrum, me, lattice, PROBE)
     for order in (1, 2):
-        sce = inelastic_cs_sce(lattice, PROBE, inter, gap_order=order)
+        sce = inelastic_cs_sce(lattice, PROBE, 100.0, gap_order=order)
         delta = relative_delta(exact.value, sce.value, elastic_kappa(PROBE))
         print(f"measured: gap_order={order} delta_ICS = {delta * 100:.4f}% "
               f"(want < 5%)")
@@ -183,12 +174,11 @@ def test_09_strong_coupling_matches_exact(sector_factory):
     "is finite-size oscillation: at order 1 it is -7.0% at L=12, -0.01% at "
     "L=24 and -0.94% at L=48"))
 def test_10_large_lattice_limit():
-    inter = InteractionSpec(U_over_J=40.0)
     lattice = LatticeSpec(L=12, nu=1)
-    limit = large_l_cs(1, PROBE, lattice.V0_Er, inter)
+    limit = large_l_cs(1, PROBE, lattice.V0_Er, 40.0)
     worst = 0.0
     for order in (1, 2):
-        finite = inelastic_cs_sce(lattice, PROBE, inter, gap_order=order)
+        finite = inelastic_cs_sce(lattice, PROBE, 40.0, gap_order=order)
         rel = abs(limit.value - finite.value) / limit.value
         print(f"measured: gap_order={order} |limit - finite|/limit = "
               f"{rel * 100:.3f}% (want < 2%)")
@@ -203,7 +193,7 @@ def test_11_weight_free_sum_rule(sector_factory, L, u):
     kappa_el = elastic_kappa(PROBE)
     structure = weights * interference(
         kappa_el, 2.0 * math.pi * spectrum.momentum / L, L)
-    structure[spectrum.ground_index] = 0.0
+    structure[0] = 0.0
     total = float(structure.sum())
 
     states = boson_states(L, lattice.N)

@@ -52,10 +52,20 @@ def test_fmt_float_golden():
     (dict(mass_ratio=0.0), "must be positive"),
     (dict(thetas=[4.0]), "thetas must lie in"),
     (dict(thetas=[-math.pi]), "thetas must lie in"),
+    (dict(j_er=-1.0), "must be positive"),
+    # sqrt(mass_ratio * ein) would be inf and the rows nan
+    (dict(mass_ratio=1e300, eins=[1e300]), "mass_ratio \\* ein must be finite"),
 ])
 def test_validate_plan_rejections(overrides, fragment):
     with pytest.raises(ValidationError, match=fragment):
         validate_plan(small_plan(**overrides))
+
+
+def test_validate_plan_accepts_theta_boundaries():
+    for theta in (math.pi, -math.pi + 1e-12, 0.0):
+        validate_plan(small_plan(thetas=[theta]))
+    # a huge but finite mass_ratio * ein is the form-factor limit, not an error
+    validate_plan(small_plan(mass_ratio=1e150, eins=[1e150]))
 
 
 def test_validate_plan_dimension_cap():
@@ -65,7 +75,6 @@ def test_validate_plan_dimension_cap():
         validate_plan(plan)
     # approximate methods never touch the basis
     validate_plan(small_plan(sites=[12], methods=["sce", "mf"]))
-    validate_plan(small_plan(sites=[12], methods=["exact"], dim_cap=1_400_000))
 
 
 def test_run_scan_frozen_point():
@@ -226,6 +235,17 @@ def test_run_compare_undefined_delta():
     assert cmp_row["error"] == ""
 
 
+def test_run_compare_undefined_delta_backscattering():
+    # theta = pi transfers no momentum either.  Its printed cell reads
+    # 3.14159265359, just above pi, so the rule must take the plan's angle
+    rows = run_compare(small_plan(thetas=[math.pi]))
+    assert rows[0]["theta"] == "3.14159265359e+00"
+    cmp_row = rows[2]
+    assert cmp_row["value"] == ""
+    assert cmp_row["warning"] == "undefined_delta"
+    assert cmp_row["error"] == ""
+
+
 def test_critical_points_report_frozen():
     rows = critical_points_report([1, 2, 3])
     assert rows[0] == {"nu": 1, "sce_jc": "2.15250437022e-01",
@@ -357,6 +377,21 @@ def test_cli_rejects_non_finite_and_unparsable_numbers(flag, value, fragment,
     assert main(["sce", "--sites", "3", f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert fragment in captured.err and captured.out == ""
+
+
+def test_cli_rejects_overflowing_probe(capsys, no_cache_env):
+    # finite mass ratio and energy whose product is not: kappa_el = -inf
+    assert main(["scan", "--sites", "4", "--mass-ratio", "1e300",
+                 "--ein", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert "mass_ratio * ein must be finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("filling", ["0", "-1"])
+def test_cli_critical_rejects_fillings_below_one(filling, capsys, no_cache_env):
+    assert main(["critical", f"--filling={filling}"]) == 2
+    captured = capsys.readouterr()
+    assert "fillings must be integers >= 1" in captured.err and captured.out == ""
 
 
 def test_cli_config_file_errors_exit_2(tmp_path, capsys, no_cache_env):

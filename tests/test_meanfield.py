@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
+from mottscope.config import LatticeSpec, ProbeSpec
 from mottscope.errors import DomainError
 from mottscope import meanfield as mf
 
@@ -24,16 +24,18 @@ def test_mu_fixed_density_frozen():
 
 def test_single_site_energies_and_window():
     mu = mf.mu_fixed_density(1)
-    e = mf.single_site_energies(1, mu)
-    assert e.eps == pytest.approx(-mu, abs=0)
-    assert e.delta_plus == pytest.approx(1.0 - mu, abs=1e-15)
-    assert e.delta_minus == pytest.approx(mu, abs=1e-15)
+    eps = mf.single_site_energy(1, mu)
+    delta_plus = mf.single_site_energy(2, mu) - eps
+    delta_minus = mf.single_site_energy(0, mu) - eps
+    assert eps == pytest.approx(-mu, abs=0)
+    assert delta_plus == pytest.approx(1.0 - mu, abs=1e-15)
+    assert delta_minus == pytest.approx(mu, abs=1e-15)
     # both excitation gaps open inside the lobe
-    assert e.delta_plus > 0 and e.delta_minus > 0
+    assert delta_plus > 0 and delta_minus > 0
     with pytest.raises(DomainError, match="Mott window"):
-        mf.single_site_energies(1, 1.5)
+        mf.c_coefficient(1, 1, 1.5)
     with pytest.raises(DomainError, match="Mott window"):
-        mf.single_site_energies(2, 0.7)
+        mf.c_coefficient(2, 1, 0.7)
 
 
 def test_c_coefficient_unit_filling():
@@ -157,17 +159,27 @@ def test_perturbative_overshoots_iterative():
 
 
 def test_mf_context_fields():
-    ctx = mf.mf_context(1, 0.125)
-    assert ctx.nu == 1
-    assert ctx.mu_tilde == pytest.approx(SQRT2 - 1.0, abs=0)
-    assert ctx.j_tilde == 0.125
-    assert ctx.lambda_tilde == pytest.approx(0.2656027138457163, rel=1e-12)
-    assert ctx.c_plus == pytest.approx(-(1.0 + SQRT2), abs=1e-14)
-    assert ctx.c_minus == pytest.approx(-(1.0 + SQRT2), abs=1e-14)
-    assert ctx.delta_plus == pytest.approx(2.0 - SQRT2, abs=1e-15)
-    assert ctx.delta_minus == pytest.approx(SQRT2 - 1.0, abs=1e-15)
-    with pytest.raises(DomainError, match="lambda_source"):
-        mf.mf_context(1, 0.125, lambda_source="exact")
+    # the mean-field state inelastic_cs_mf builds at U/J = 8: lambda, the
+    # two channel weights and the two gaps, all at mu_FD
+    mu = mf.mu_fixed_density(1)
+    assert mu == pytest.approx(SQRT2 - 1.0, abs=0)
+    lam = math.sqrt(mf.lambda_squared(1, 0.125))
+    assert lam == pytest.approx(0.2656027138457163, rel=1e-12)
+    assert mf.c_coefficient(1, 1, mu) == pytest.approx(-(1.0 + SQRT2), abs=1e-14)
+    assert mf.c_coefficient(1, -1, mu) == pytest.approx(-(1.0 + SQRT2), abs=1e-14)
+    eps = mf.single_site_energy(1, mu)
+    assert mf.single_site_energy(2, mu) - eps == pytest.approx(2.0 - SQRT2, abs=1e-15)
+    assert mf.single_site_energy(0, mu) - eps == pytest.approx(SQRT2 - 1.0, abs=1e-15)
+    # the cross section is those pieces put together
+    kappa_el = -math.pi * math.sin(0.99) * math.sqrt(2.0)
+    value = 0.0
+    for c, delta in ((mf.c_coefficient(1, 1, mu), 2.0 - SQRT2),
+                     (mf.c_coefficient(1, -1, mu), SQRT2 - 1.0)):
+        root = math.sqrt(1.0 - 8.0 * 6.5e-3 * delta / 2.0)
+        value += root * c**2 * math.exp(-(kappa_el * root)**2
+                                        / (2.0 * math.pi**2 * math.sqrt(15.0)))
+    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0)
+    assert rec.value == pytest.approx(value * lam**2, rel=1e-12)
 
 
 MF_LATTICE = LatticeSpec(L=8, nu=1)
@@ -175,24 +187,21 @@ MF_PROBE = ProbeSpec(theta=0.99, Ein_Er=2.0)
 
 
 def test_inelastic_cs_mf_frozen_perturbative():
-    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, InteractionSpec(U_over_J=8.0))
-    assert rec.method == "mf"
+    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0)
     assert rec.value == pytest.approx(0.6836727570627674, rel=1e-12)
     assert rec.channel_count == 2
     assert rec.warning == "lambda_validity"
-    assert rec.params["lambda_source"] == "perturbative"
 
 
 def test_inelastic_cs_mf_frozen_iterative():
-    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, InteractionSpec(U_over_J=8.0),
-                             lambda_source="iterative")
+    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0, lambda_source="iterative")
     assert rec.value == pytest.approx(0.28405358531647174, rel=1e-9)
     assert rec.channel_count == 2
     assert rec.warning == "lambda_validity"
 
 
 def test_inelastic_cs_mf_channel_closure():
-    u = InteractionSpec(U_over_J=8.0)
+    u = 8.0
     # particle channel closes first: U delta_+ > U delta_-
     rec = mf.inelastic_cs_mf(MF_LATTICE, ProbeSpec(theta=0.99, Ein_Er=0.025), u)
     assert rec.channel_count == 1
@@ -205,7 +214,7 @@ def test_inelastic_cs_mf_channel_closure():
 
 def test_inelastic_cs_mf_mott_phase_zero():
     for u in (11.66, 50.0, 300.0):
-        rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, InteractionSpec(U_over_J=u))
+        rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, u)
         assert rec.value == 0.0
         assert rec.channel_count == 0
         assert rec.warning == ""
@@ -213,11 +222,9 @@ def test_inelastic_cs_mf_mott_phase_zero():
 
 def test_inelastic_cs_mf_domain():
     with pytest.raises(DomainError, match="lambda_source"):
-        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, InteractionSpec(U_over_J=8.0),
-                           lambda_source="closed_form")
+        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0, lambda_source="closed_form")
     with pytest.raises(DomainError, match="lambda_source"):
         # validated even when the Mott branch would short-circuit
-        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, InteractionSpec(U_over_J=50.0),
-                           lambda_source="closed_form")
+        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 50.0, lambda_source="closed_form")
     with pytest.raises(DomainError, match="U/J"):
-        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, InteractionSpec(U_over_J=0.0))
+        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from mottscope.config import InteractionSpec, LatticeSpec, ProbeSpec
+from mottscope.config import LatticeSpec, ProbeSpec
 from mottscope.errors import DomainError, NoRootError
 from mottscope.fock import enumerate_basis
 from mottscope.scatter import elastic_kappa, form_factor, interference
@@ -108,7 +108,7 @@ def test_ph_states_orthonormal_and_diagonalize_hopping(L, nu):
 
     # projected eigenvalue relation: P K P |q,k> = -e1 |q,k> with K the
     # hopping part of the Hamiltonian (units of J)
-    hop = build_hamiltonian(basis, InteractionSpec(U_over_J=0.0), lattice).to_dense()
+    hop = build_hamiltonian(basis, 0.0, lattice).to_dense()
     pair_diag = 0.5 * (basis.occ * (basis.occ - 1)).sum(axis=1)
     in_manifold = pair_diag == (0.5 * L * nu * (nu - 1) + 1)
     proj = np.where(in_manifold, 1.0, 0.0)
@@ -191,22 +191,19 @@ def test_pair_weights_match_exact_diagonalization(sector_factory):
 def test_sce_tracks_exact_on_small_lattice(sector_factory):
     lattice, basis, spectrum, me = sector_factory(4, 1, 50.0)
     from mottscope.scatter import inelastic_cs_exact
-    exact = inelastic_cs_exact(spectrum, me, lattice, PROBE, u_over_j=50.0)
-    sce = inelastic_cs_sce(lattice, PROBE, InteractionSpec(U_over_J=50.0),
-                           gap_order=2)
+    exact = inelastic_cs_exact(spectrum, me, lattice, PROBE)
+    sce = inelastic_cs_sce(lattice, PROBE, 50.0, gap_order=2)
     assert sce.value == pytest.approx(exact.value, rel=0.015)
 
 
 def test_sce_reference_values():
     lattice = LatticeSpec(L=6, nu=1)
-    u30 = InteractionSpec(U_over_J=30.0)
+    u30 = 30.0
     r1 = inelastic_cs_sce(lattice, PROBE, u30, gap_order=1)
     r2 = inelastic_cs_sce(lattice, PROBE, u30, gap_order=2)
     assert r1.value == pytest.approx(0.012286722549599364, rel=1e-12)
     assert r2.value == pytest.approx(0.012280349726029701, rel=1e-12)
     assert r1.channel_count == r2.channel_count == 25
-    assert r1.method == "sce"
-    assert r1.params["gap_order"] == 1
 
 
 @pytest.mark.parametrize("m,delta", [(-1, 3e-7), (-2, -2e-6), (1, 1e-4),
@@ -216,10 +213,10 @@ def test_sce_lattice_sum_near_distant_peaks(m, delta):
     # keep the accuracy of the explicit phase sum |sum_j e^{i(kappa-q)j}|^2
     mpmath = pytest.importorskip("mpmath")
     L, nu, Ein = 12, 1, 40.0
-    lattice, u = LatticeSpec(L=L, nu=nu), InteractionSpec(U_over_J=20.0)
+    lattice, u = LatticeSpec(L=L, nu=nu), 20.0
     q_d, k_d = ph_momentum_grids(L)
     gap = 1.0 - ph_energy_first_order(q_d[:, None], k_d[None, :], nu) / 20.0
-    radicand = 1.0 - u.U_Er(lattice.J_Er) * gap / Ein
+    radicand = 1.0 - u * lattice.J_Er * gap / Ein
     j, i = 5, 3
     target = 2.0 * math.pi * (j / L + m) + delta
     theta = math.asin(-target / (math.pi * math.sqrt(Ein * radicand[j, i])))
@@ -264,16 +261,13 @@ def test_sce_quadratic_law_at_fixed_interaction_energy():
     # halving J at fixed U_Er freezes the kinematics, so the cross section
     # must drop by the squared tunneling ratio
     probe = ProbeSpec(Ein_Er=16.0, theta=math.asin(0.75))
-    r1 = inelastic_cs_sce(LatticeSpec(L=8, nu=1, J_Er=6.5e-3), probe,
-                          InteractionSpec(U_over_J=80.0))
-    r2 = inelastic_cs_sce(LatticeSpec(L=8, nu=1, J_Er=3.25e-3), probe,
-                          InteractionSpec(U_over_J=160.0))
+    r1 = inelastic_cs_sce(LatticeSpec(L=8, nu=1, J_Er=6.5e-3), probe, 80.0)
+    r2 = inelastic_cs_sce(LatticeSpec(L=8, nu=1, J_Er=3.25e-3), probe, 160.0)
     assert r1.value / r2.value == pytest.approx(4.0, rel=1e-4)
 
 
 def test_sce_closed_channels():
-    rec = inelastic_cs_sce(LatticeSpec(L=6, nu=1), ProbeSpec(Ein_Er=0.05, theta=0.99),
-                           InteractionSpec(U_over_J=50.0))
+    rec = inelastic_cs_sce(LatticeSpec(L=6, nu=1), ProbeSpec(Ein_Er=0.05, theta=0.99), 50.0)
     assert rec.value == 0.0
     assert rec.channel_count == 0
     assert rec.warning == "no_open_channels"
@@ -281,35 +275,33 @@ def test_sce_closed_channels():
 
 def test_sce_domain_errors():
     with pytest.raises(DomainError):
-        inelastic_cs_sce(LatticeSpec(L=2, nu=1), PROBE, InteractionSpec(U_over_J=10.0))
+        inelastic_cs_sce(LatticeSpec(L=2, nu=1), PROBE, 10.0)
     with pytest.raises(DomainError):
-        inelastic_cs_sce(LatticeSpec(L=6, nu=1), PROBE, InteractionSpec(U_over_J=0.0))
+        inelastic_cs_sce(LatticeSpec(L=6, nu=1), PROBE, 0.0)
     with pytest.raises(DomainError):
-        inelastic_cs_sce(LatticeSpec(L=6, nu=1), PROBE,
-                         InteractionSpec(U_over_J=10.0), gap_order=3)
+        inelastic_cs_sce(LatticeSpec(L=6, nu=1), PROBE, 10.0, gap_order=3)
     basis = enumerate_basis(4, 3)      # filling 3/4 is not integer
     with pytest.raises(DomainError):
         ph_state_vector(0.5, 0.5, basis)
 
 
 def test_large_l_value_and_warning():
-    u30 = InteractionSpec(U_over_J=30.0)
+    u30 = 30.0
     rec = large_l_cs(1, PROBE, 15.0, u30)
     assert rec.value == pytest.approx(0.0136579308435769, rel=1e-12)
     assert rec.warning == ""
-    assert rec.method == "sce_largeL"
     # band top sits at (30 + 2 sqrt(9)) J = 0.234 E_r; a probe below it warns
     low = large_l_cs(1, ProbeSpec(Ein_Er=0.2, theta=0.99), 15.0, u30)
     assert low.warning == "high_ein_condition"
     with pytest.raises(DomainError):
-        large_l_cs(1, PROBE, 15.0, InteractionSpec(U_over_J=0.0))
+        large_l_cs(1, PROBE, 15.0, 0.0)
 
 
 def test_large_l_convergence_point():
     # documented convergence example: kappa_el lands on the flat maximum and
     # the finite-size sum closes onto the thermodynamic form by L = 16
     probe = ProbeSpec(Ein_Er=16.0, theta=math.asin(0.75))
-    u20 = InteractionSpec(U_over_J=20.0)
+    u20 = 20.0
     limit = large_l_cs(1, probe, 15.0, u20)
     for L in (12, 16):
         finite = inelastic_cs_sce(LatticeSpec(L=L, nu=1), probe, u20)

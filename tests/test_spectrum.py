@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mottscope.config import InteractionSpec, LatticeSpec
+from mottscope.config import LatticeSpec
 from mottscope.fock import enumerate_basis
 from mottscope.spectrum import (build_hamiltonian, cache_key, diagonalize,
                                 ground_matrix_elements, lattice_bonds,
@@ -18,7 +18,7 @@ from oracles import (bloch_block, boson_states, dense_hamiltonian,
 def build(L, nu, u):
     lattice = LatticeSpec(L=L, nu=nu)
     basis = enumerate_basis(L, lattice.N)
-    ham = build_hamiltonian(basis, InteractionSpec(U_over_J=u), lattice)
+    ham = build_hamiltonian(basis, u, lattice)
     return lattice, basis, ham
 
 
@@ -136,7 +136,7 @@ def test_block_spectra_cover_the_sector(L, nu):
     np.testing.assert_allclose(spec.energies_J,
                                np.linalg.eigvalsh(ham.to_dense()),
                                rtol=0, atol=1e-10)
-    assert spec.ground_index == 0 and spec.momentum[0] == 0
+    assert spec.momentum[0] == 0
     weights = ground_matrix_elements(spec, basis)
     assert weights[0] == pytest.approx(nu ** 2, abs=1e-12)
     for block in spec.blocks:
@@ -153,7 +153,7 @@ def test_deep_mott_ground_state():
     _, basis, ham = build(4, 1, 1e6)
     spec = diagonalize(ham)
     mott = ham.orbits.index[basis.rank_rows(np.array([[1, 1, 1, 1]]))[0]]
-    assert spec.momentum[spec.ground_index] == 0
+    assert spec.momentum[0] == 0
     zero = spec.blocks[0]
     ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0])
     assert abs(ground[mott]) > 1.0 - 1e-9
@@ -163,7 +163,6 @@ def test_diagonalize_properties():
     _, _, ham = build(4, 1, 6.0)
     spec = diagonalize(ham)
     assert (np.diff(spec.energies_J) >= 0).all()
-    assert spec.ground_index == 0
     # the table covers the whole sector, with the dense spectrum
     np.testing.assert_allclose(spec.energies_J,
                                np.linalg.eigvalsh(ham.to_dense()),
