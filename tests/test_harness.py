@@ -52,7 +52,6 @@ def test_fmt_float_golden():
     (dict(mass_ratio=0.0), "must be positive"),
     (dict(thetas=[4.0]), "thetas must lie in"),
     (dict(thetas=[-math.pi]), "thetas must lie in"),
-    (dict(j_er=-1.0), "must be positive"),
     # sqrt(mass_ratio * ein) would be inf and the rows nan
     (dict(mass_ratio=1e300, eins=[1e300]), "mass_ratio \\* ein must be finite"),
 ])
@@ -61,9 +60,7 @@ def test_validate_plan_rejections(overrides, fragment):
         validate_plan(small_plan(**overrides))
 
 
-def test_validate_plan_accepts_theta_boundaries():
-    for theta in (math.pi, -math.pi + 1e-12, 0.0):
-        validate_plan(small_plan(thetas=[theta]))
+def test_validate_plan_accepts_huge_finite_probe():
     # a huge but finite mass_ratio * ein is the form-factor limit, not an error
     validate_plan(small_plan(mass_ratio=1e150, eins=[1e150]))
 
