@@ -12,14 +12,15 @@ from .fock import DEFAULT_DIM_CAP, FockBasis, dimension, enumerate_basis
 from .spectrum import (HamiltonianMatrix, Spectrum, build_hamiltonian, cache_key,
                        diagonalize, ground_matrix_elements, lattice_bonds,
                        load_spectrum, save_spectrum, spectrum_cache_path)
-from .scatter import (CrossSectionRecord, elastic_cs_exact, elastic_kappa,
-                      form_factor, inelastic_cs_exact, interference, open_channels)
+from .scatter import (CrossSectionRecord, angle_sums, elastic_cs_exact,
+                      elastic_kappa, form_factor, inelastic_cs_exact, interference,
+                      open_channels)
 from .sce import (critical_j, density_matrix_element, effective_tunneling,
                   energy_gap, inelastic_cs_sce, large_l_cs, ph_energy_first_order,
                   ph_energy_second_order, ph_momentum_grids, tunneling_phase)
-from .meanfield import (LAMBDA_SOURCES, c_coefficient, coupling_coefficients,
-                        critical_j_mf, inelastic_cs_mf, lambda_squared,
-                        mu_fixed_density, selfconsistent_lambda,
+from .meanfield import (LAMBDA_SOURCES, c_coefficient, condensate_lambda,
+                        coupling_coefficients, critical_j_mf, inelastic_cs_mf,
+                        lambda_squared, mu_fixed_density, selfconsistent_lambda,
                         single_site_energy)
 from .harness import (CSV_COLUMNS, ScanPlan, critical_points_report,
                       relative_delta, rows_to_csv, rows_to_json, run_compare,

@@ -7,6 +7,13 @@ parallelizes over (L, N, U/J) spectrum units while rows are assembled
 serially in grid order; output is byte-identical for any worker count.
 A unit keeps only its channel table and weights, O(dim) numbers, for the
 rest of the scan, and the disk cache stores exactly that.
+
+Rows are computed unit by unit: for each (L, nu, U/J) unit, each method
+makes one call per E_in over the whole theta axis, and the mean-field
+lambda is resolved once per (nu, U/J).  scipy is loaded only by the two
+solvers that need it (the block eigensolve and the self-consistent
+lambda), so a scan served from the cache, and every sce or perturbative
+mf scan, runs without it.
 """
 
 from __future__ import annotations
@@ -18,11 +25,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import DEFAULT_J_ER, DEFAULT_V0_ER, LatticeSpec, ProbeSpec
 from .errors import ValidationError
 from .fock import DEFAULT_DIM_CAP, dimension, enumerate_basis
-from .meanfield import LAMBDA_SOURCES, critical_j_mf, inelastic_cs_mf
-from .scatter import CrossSectionRecord, elastic_kappa, inelastic_cs_exact
+from .meanfield import (LAMBDA_SOURCES, condensate_lambda, critical_j_mf,
+                        inelastic_cs_mf)
+from .scatter import elastic_kappa, inelastic_cs_exact
 from .sce import critical_j, inelastic_cs_sce, large_l_cs
 from .spectrum import (build_hamiltonian, cache_key, diagonalize,
                        ground_matrix_elements, load_spectrum, save_spectrum,
@@ -158,47 +168,56 @@ def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
     return spec, weights
 
 
-def _blank_row(L: int, nu: int, u: float, theta: float, ein: float,
-               method: str) -> dict:
-    return {"L": L, "nu": nu, "N": nu * L, "u_over_j": fmt_float(u),
-            "theta": fmt_float(theta), "ein_er": fmt_float(ein),
-            "method": method, "gap_order": "", "value": "",
-            "channel_count": "", "warning": "", "error": ""}
+def _memo(table: dict, key, compute):
+    """table[key], computed once; a failure is kept as its error-column text."""
+    if key not in table:
+        try:
+            table[key] = compute()
+        except Exception as exc:
+            table[key] = _error_text(exc)
+    return table[key]
 
 
-def _fill_row(row: dict, rec: CrossSectionRecord) -> dict:
-    row["value"] = fmt_float(rec.value)
-    row["channel_count"] = str(rec.channel_count)
-    row["warning"] = rec.warning
-    return row
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _evaluate(plan: ScanPlan, spectra: dict, L: int, nu: int, u: float,
-              theta: float, ein: float, method: str) -> dict:
-    row = _blank_row(L, nu, u, theta, ein, method)
-    lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
-    probe = ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=plan.mass_ratio)
+def _evaluate(plan: ScanPlan, spectra: dict, lambdas: dict, lattice: LatticeSpec,
+              u: float, probe: ProbeSpec, method: str):
+    """One method at one E_in over the probe's theta array.
+
+    Returns the record, or the error-column text of the failure.
+    """
     try:
         if method == "exact":
-            entry = spectra[(L, nu, cache_key(u))]
-            if isinstance(entry, Exception):
-                raise entry
-            spec, weights = entry
-            rec = inelastic_cs_exact(spec, weights, lattice, probe)
-        elif method == "sce":
-            rec = inelastic_cs_sce(lattice, probe, u, gap_order=plan.gap_order)
-            row["gap_order"] = str(plan.gap_order)
-        elif method == "sce_largeL":
-            rec = large_l_cs(nu, probe, plan.v0_er, u, J_Er=plan.j_er)
-        elif method == "mf":
-            rec = inelastic_cs_mf(lattice, probe, u,
-                                  lambda_source=plan.lambda_source)
-        else:  # pragma: no cover - validate_plan blocks this
-            raise ValidationError(f"unknown method {method!r}")
+            entry = spectra[(lattice.L, lattice.nu, cache_key(u))]
+            if isinstance(entry, str):
+                return entry
+            return inelastic_cs_exact(*entry, lattice, probe)
+        if method == "sce":
+            return inelastic_cs_sce(lattice, probe, u, gap_order=plan.gap_order)
+        if method == "sce_largeL":
+            return large_l_cs(lattice.nu, probe, plan.v0_er, u, J_Er=plan.j_er)
+        if method == "mf":
+            lam = _memo(lambdas, (lattice.nu, u), lambda: condensate_lambda(
+                lattice.nu, u, plan.lambda_source))
+            if isinstance(lam, str):
+                return lam
+            return inelastic_cs_mf(lattice, probe, u, lam)
+        raise ValidationError(f"unknown method {method!r}")  # pragma: no cover
     except Exception as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    return _fill_row(row, rec)
+        return _error_text(exc)
+
+
+def _cells(result, method: str, gap_order: int):
+    """The cells one call shares across its angles, and its value cells."""
+    if isinstance(result, str):
+        return {"gap_order": "", "value": "", "channel_count": "",
+                "warning": "", "error": result}, None
+    shared = {"gap_order": str(gap_order) if method == "sce" else "", "value": "",
+              "channel_count": str(result.channel_count),
+              "warning": result.warning, "error": ""}
+    return shared, [fmt_float(v) for v in result.value.tolist()]
 
 
 def run_scan(plan: ScanPlan) -> list[dict]:
@@ -214,20 +233,29 @@ def run_scan(plan: ScanPlan) -> list[dict]:
             futures = {unit: pool.submit(_spectrum_unit, plan, *unit)
                        for unit in units}
             for (L, nu, u), fut in futures.items():
-                try:
-                    spectra[(L, nu, cache_key(u))] = fut.result()
-                except Exception as exc:
-                    # surface the failure on each dependent row, not the scan
-                    spectra[(L, nu, cache_key(u))] = exc
+                # a failure surfaces on each dependent row, not the scan
+                _memo(spectra, (L, nu, cache_key(u)), fut.result)
+    lambdas: dict = {}
+    thetas = np.array(plan.thetas, dtype=float)
+    theta_cells = [fmt_float(theta) for theta in plan.thetas]
+    probes = [(fmt_float(ein), ProbeSpec(Ein_Er=ein, theta=thetas,
+                                         mass_ratio=plan.mass_ratio))
+              for ein in plan.eins]
     rows = []
-    for L in plan.sites:
-        for nu in plan.fillings:
-            for u in plan.u_over_j:
-                for theta in plan.thetas:
-                    for ein in plan.eins:
-                        for method in plan.methods:
-                            rows.append(_evaluate(plan, spectra, L, nu, u,
-                                                  theta, ein, method))
+    for L, nu, u in itertools.product(plan.sites, plan.fillings, plan.u_over_j):
+        lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
+        calls = [(ein_cell, method, *_cells(
+                     _evaluate(plan, spectra, lambdas, lattice, u, probe, method),
+                     method, plan.gap_order))
+                 for ein_cell, probe in probes for method in plan.methods]
+        head = {"L": L, "nu": nu, "N": nu * L, "u_over_j": fmt_float(u)}
+        for i, theta_cell in enumerate(theta_cells):
+            for ein_cell, method, shared, values in calls:
+                row = {**head, "theta": theta_cell, "ein_er": ein_cell,
+                       "method": method, **shared}
+                if values is not None:
+                    row["value"] = values[i]
+                rows.append(row)
     return rows
 
 

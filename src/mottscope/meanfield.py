@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .config import LatticeSpec, ProbeSpec
 from .errors import DomainError, NonConvergenceError
-from .scatter import CrossSectionRecord, form_factor, open_channels
+from .scatter import (CrossSectionRecord, angle_sums, form_factor, open_channels,
+                      per_angle)
 
 LAMBDA_SOURCES = ("perturbative", "iterative")
 LAMBDA_VALIDITY = 0.1
@@ -86,8 +86,10 @@ def selfconsistent_lambda(nu: int, j_tilde: float, n_max: int | None = None) -> 
 
     Returns 0.0 once the iteration collapses below 1e-10; raises
     NonConvergenceError after 1e5 sweeps without meeting the 1e-12 step
-    criterion.
+    criterion.  scipy is imported here, the only place mean field needs it.
     """
+    import scipy.linalg
+
     if j_tilde <= 0:
         raise DomainError(f"j_tilde must be positive, got {j_tilde}")
     if n_max is None:
@@ -115,42 +117,55 @@ def selfconsistent_lambda(nu: int, j_tilde: float, n_max: int | None = None) -> 
         f"no fixed point after {_MAX_ITER} sweeps at nu={nu}, j_tilde={j_tilde}")
 
 
-def inelastic_cs_mf(lattice: LatticeSpec, probe: ProbeSpec, u_over_j: float,
-                    lambda_source: str = "perturbative") -> CrossSectionRecord:
-    """Mean-field inelastic cross section from the two dressed site channels.
+def condensate_lambda(nu: int, u_over_j: float,
+                      lambda_source: str = "perturbative") -> float:
+    """Condensate coupling lambda of a (nu, U/J) unit; 0 in the Mott phase.
 
-    Identically zero in the Mott phase.  The condensate coupling is kept as
-    a perturbation, so the result carries a validity warning once
-    lambda > 0.1.
+    lambda_source picks the closed form (lambda_squared) or the
+    self-consistent solver.  lambda depends on nothing else, so a scan
+    resolves it once per unit and hands it to inelastic_cs_mf.
     """
     if u_over_j <= 0:
         raise DomainError("mean-field pipeline needs U/J > 0")
     if lambda_source not in LAMBDA_SOURCES:
         raise DomainError(
             f"lambda_source must be one of {LAMBDA_SOURCES}, got {lambda_source!r}")
-    nu = lattice.nu
     j_tilde = 1.0 / u_over_j
     if j_tilde <= critical_j_mf(nu):
-        return CrossSectionRecord(0.0, 0)
+        return 0.0
     if lambda_source == "perturbative":
-        lam = math.sqrt(lambda_squared(nu, j_tilde))
-    else:
-        lam = selfconsistent_lambda(nu, j_tilde)
+        return math.sqrt(lambda_squared(nu, j_tilde))
+    return selfconsistent_lambda(nu, j_tilde)
+
+
+def inelastic_cs_mf(lattice: LatticeSpec, probe: ProbeSpec, u_over_j: float,
+                    lam: float) -> CrossSectionRecord:
+    """Mean-field inelastic cross section from the two dressed site channels.
+
+    lam is the unit's condensate coupling from condensate_lambda; with
+    lam = 0 (the Mott phase) the cross section is identically zero.  The
+    coupling is kept as a perturbation, so the result carries a validity
+    warning once lambda > 0.1.
+    """
+    if u_over_j <= 0:
+        raise DomainError("mean-field pipeline needs U/J > 0")
     lam2 = lam**2
     if lam2 == 0.0:
-        return CrossSectionRecord(0.0, 0)
+        return CrossSectionRecord(per_angle(probe, np.zeros(np.size(probe.theta))), 0)
+    nu = lattice.nu
     mu = mu_fixed_density(nu)
     eps = single_site_energy(nu, mu)
     gaps = np.array([single_site_energy(nu + 1, mu) - eps,
                      single_site_energy(nu - 1, mu) - eps])
-    open_mask, root, kappa_d = open_channels(u_over_j * lattice.J_Er * gaps, probe)
+    open_mask, root = open_channels(u_over_j * lattice.J_Er * gaps, probe)
     c2 = np.array([c_coefficient(nu, 1, mu)**2, c_coefficient(nu, -1, mu)**2])
-    terms = root * c2 * form_factor(kappa_d, lattice.V0_Er) ** 2  # closed: root 0
+    _, sums = angle_sums(probe, root, lambda kd: (
+        root * c2 * form_factor(kd, lattice.V0_Er) ** 2))  # closed: root 0
     open_count = int(open_mask.sum())
-    value = float(terms.sum()) * (lam2 / nu)
     warning = ""
     if open_count == 0:
         warning = "no_open_channels"
     elif lam > LAMBDA_VALIDITY:
         warning = "lambda_validity"
-    return CrossSectionRecord(value, open_count, warning)
+    return CrossSectionRecord(per_angle(probe, sums * (lam2 / nu)), open_count,
+                              warning)

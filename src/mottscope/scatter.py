@@ -8,7 +8,9 @@ Every cross section is the angular density normalized by N and by the
 squared scattering length, in the diagonal (density-coupling) impulse
 approximation.  Channels with negative kinematic radicand are closed and
 dropped from the sums; open_channels decides which are open for every
-method.
+method.  A probe's theta may be one angle or a 1-D array of them: the
+channels open at one E_in are the same at every angle, so angle_sums
+evaluates a method's channel sum over the whole angle axis at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ import numpy as np
 from .config import LatticeSpec, ProbeSpec
 
 INTERFERENCE_TOL = 1e-9
+# Most channel x angle elements one angle block holds.  An L=192 pair grid
+# has 36,672 channels, so 400 angles at once would make every temporary of
+# the lattice sum 117 MB; a block of this size keeps each one at 0.5 MB.
+ANGLE_BLOCK_ELEMENTS = 2 ** 16
 
 
 def form_factor(kappa_d, V0_Er: float):
@@ -30,15 +36,23 @@ def form_factor(kappa_d, V0_Er: float):
     return w if w.ndim else float(w)
 
 
-def elastic_kappa(probe: ProbeSpec) -> float:
+def elastic_kappa(probe: ProbeSpec):
     """Elastic momentum transfer kappa_el*d; negative for forward angles.
 
     Exactly 0 at theta = 0 and at theta = pi, where math.sin leaves 1.2e-16.
+    An array of angles gives an array with each angle's scalar value, from
+    math.sin: np.sin may differ from it in the last bit.
     """
-    if probe.theta == math.pi:
+    if np.ndim(probe.theta):
+        return np.array([_kappa_el(theta, probe) for theta in probe.theta],
+                        dtype=float)
+    return _kappa_el(probe.theta, probe)
+
+
+def _kappa_el(theta: float, probe: ProbeSpec) -> float:
+    if theta == math.pi:
         return 0.0
-    return -math.pi * math.sin(probe.theta) * math.sqrt(
-        probe.mass_ratio * probe.Ein_Er)
+    return -math.pi * math.sin(theta) * math.sqrt(probe.mass_ratio * probe.Ein_Er)
 
 
 def interference(kappa_d, q_d, L: int):
@@ -57,24 +71,52 @@ def interference(kappa_d, q_d, L: int):
 
 @dataclass
 class CrossSectionRecord:
-    """The three cells a scan row prints for one computed cross section."""
+    """The three cells a scan row prints for one computed cross section.
 
-    value: float
+    value holds one number per angle when the probe's theta is an array;
+    channel_count and warning depend only on E_in, so they are shared.
+    """
+
+    value: float | np.ndarray
     channel_count: int
     warning: str = ""
 
 
 def open_channels(excitation_er, probe: ProbeSpec):
-    """Open mask, kinematic root and scattered momentum of excitation channels.
+    """Open mask and kinematic root of excitation channels.
 
     A channel of excitation energy dE (in E_r) is open when the probe can
-    pay it, r = 1 - dE/E_in >= 0; it then scatters at kappa_el * sqrt(r).
-    Closed channels get root 0 and momentum transfer 0.  Every method
-    weights its channels through this kernel.
+    pay it, r = 1 - dE/E_in >= 0; it then scatters at kappa_el * sqrt(r)
+    (see angle_sums).  Closed channels get root 0.  Every method weights its
+    channels through this kernel.
     """
     radicand = 1.0 - np.asarray(excitation_er, dtype=float) / probe.Ein_Er
-    root = np.sqrt(np.maximum(radicand, 0.0))
-    return radicand >= 0.0, root, elastic_kappa(probe) * root
+    return radicand >= 0.0, np.sqrt(np.maximum(radicand, 0.0))
+
+
+def angle_sums(probe: ProbeSpec, root: np.ndarray, summand):
+    """Channel sums of summand(kappa_d) at every angle of probe.theta.
+
+    kappa_d = kappa_el * root has one row per angle followed by root's
+    shape; summand returns terms of the same shape.  Each angle's terms are
+    summed on their own, in the order of the flattened root grid, so a
+    value does not depend on the other angles of the call.  Angles go in
+    blocks of at most ANGLE_BLOCK_ELEMENTS elements.  Returns kappa_el and
+    the sums, both one entry per angle (length 1 for a scalar theta).
+    """
+    kappa_el = np.atleast_1d(elastic_kappa(probe))
+    sums = np.empty(kappa_el.size)
+    step = max(1, ANGLE_BLOCK_ELEMENTS // max(root.size, 1))
+    for start in range(0, kappa_el.size, step):
+        block = kappa_el[start:start + step]
+        terms = summand(np.multiply.outer(block, root))
+        sums[start:start + step] = terms.reshape(block.size, -1).sum(axis=1)
+    return kappa_el, sums
+
+
+def per_angle(probe: ProbeSpec, values):
+    """values (one per angle) as a record holds them: a float for a scalar theta."""
+    return values if np.ndim(probe.theta) else float(values[0])
 
 
 def _lattice_sum(kappa_d, k, L: int):
@@ -97,17 +139,21 @@ def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
     Each open eigenstate n != 0 (entry 0 is the ground state), of lattice momentum K_n, contributes
     sqrt(radicand) * w_n * interference(kappa_n, K_n, L) * W(kappa_n)^2,
     with w_n = |<n|n_0|0>|^2, and the total is normalized by the particle
-    number.
+    number.  With no elastic momentum transfer the density probe is the
+    conserved N, which excites nothing, so the sum is exactly 0 there.
     """
-    open_mask, root, kappa_d = open_channels(
-        spectrum.energies - spectrum.energies[0], probe)
+    open_mask, root = open_channels(spectrum.energies - spectrum.energies[0], probe)
     idx = np.flatnonzero(open_mask[1:]) + 1
     if idx.size == 0:
-        return CrossSectionRecord(0.0, 0, warning="no_open_channels")
-    kd = kappa_d[idx]
-    structure = weights[idx] * _lattice_sum(kd, spectrum.momentum[idx], lattice.L)
-    terms = root[idx] * structure * form_factor(kd, lattice.V0_Er) ** 2
-    return CrossSectionRecord(float(terms.sum() / lattice.N), int(idx.size))
+        zeros = np.zeros(np.size(probe.theta))
+        return CrossSectionRecord(per_angle(probe, zeros), 0,
+                                  warning="no_open_channels")
+    root, w, k = root[idx], weights[idx], spectrum.momentum[idx]
+    kappa_el, sums = angle_sums(probe, root, lambda kd: (
+        root * (w * _lattice_sum(kd, k, lattice.L))
+        * form_factor(kd, lattice.V0_Er) ** 2))
+    values = np.where(kappa_el == 0.0, 0.0, sums / lattice.N)
+    return CrossSectionRecord(per_angle(probe, values), int(idx.size))
 
 
 def elastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import DEFAULT_J_ER, LatticeSpec, ProbeSpec
 from .errors import DomainError, NoRootError
-from .scatter import (CrossSectionRecord, _lattice_sum, elastic_kappa,
-                      form_factor, open_channels)
+from .scatter import (CrossSectionRecord, _lattice_sum, angle_sums,
+                      elastic_kappa, form_factor, open_channels, per_angle)
 
 _QZERO_TOL = 1e-12
 
@@ -108,7 +108,12 @@ def density_matrix_element(q_d, k_d, nu: int, L: int):
 
 def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
                      u_over_j: float, gap_order: int = 1) -> CrossSectionRecord:
-    """Analytic inelastic cross section from the one-pair manifold."""
+    """Analytic inelastic cross section from the one-pair manifold.
+
+    The sum runs over the full (q, varkappa) grid at each angle.  Like the
+    exact sum it is exactly 0 without elastic momentum transfer, where only
+    q = 0 survives the lattice sum and |M|^2 carries sin^2(q/2).
+    """
     if gap_order not in (1, 2):
         raise DomainError(f"gap_order must be 1 or 2, got {gap_order}")
     if u_over_j <= 0:
@@ -123,14 +128,16 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
     gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
     if gap_order == 2:
         gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
-    open_mask, root, kappa_d = open_channels(u_over_j * lattice.J_Er * gap, probe)
+    open_mask, root = open_channels(u_over_j * lattice.J_Er * gap, probe)
     m2 = np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
-    # closed channels have root 0, so they add nothing
-    terms = (root * m2 * _lattice_sum(kappa_d, np.arange(L)[:, None], L)
-             * form_factor(kappa_d, lattice.V0_Er) ** 2)
-    value = float(j_tilde**2 * 2.0 * (nu + 1) / L**3 * terms.sum())
+    weight = root * m2   # closed channels have root 0, so they add nothing
+    q_index = np.arange(L)[:, None]
+    kappa_el, sums = angle_sums(probe, root, lambda kd: (
+        weight * _lattice_sum(kd, q_index, L) * form_factor(kd, lattice.V0_Er) ** 2))
+    values = np.where(kappa_el == 0.0, 0.0, j_tilde**2 * 2.0 * (nu + 1) / L**3 * sums)
     warning = "" if open_mask.any() else "no_open_channels"
-    return CrossSectionRecord(value, int((open_mask & (m2 > 0.0)).sum()), warning)
+    return CrossSectionRecord(per_angle(probe, values),
+                              int((open_mask & (m2 > 0.0)).sum()), warning)
 
 
 def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,
@@ -143,12 +150,13 @@ def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,
     if u_over_j <= 0:
         raise DomainError("strong-coupling expansion needs U/J > 0")
     j_tilde = 1.0 / u_over_j
-    kappa_el = elastic_kappa(probe)
-    value = float(8.0 * (nu + 1) * math.sin(kappa_el / 2.0) ** 2
-                  * form_factor(kappa_el, V0_Er) ** 2 * j_tilde**2)
+    values = np.array([
+        8.0 * (nu + 1) * math.sin(kappa_el / 2.0) ** 2
+        * form_factor(kappa_el, V0_Er) ** 2 * j_tilde**2
+        for kappa_el in np.atleast_1d(elastic_kappa(probe)).tolist()])
     band_top = u_over_j + 2.0 * math.sqrt(4.0 * nu * (nu + 1) + 1.0)
     warning = "" if probe.Ein_Er / J_Er > band_top else "high_ein_condition"
-    return CrossSectionRecord(value, 0, warning)
+    return CrossSectionRecord(per_angle(probe, values), 0, warning)
 
 
 def energy_gap(j_tilde: float, L: int, nu: int) -> float:
@@ -168,15 +176,24 @@ def _gap_cubic(j_tilde: float, nu: int) -> float:
 
 def critical_j(nu: int, scan_step: float = 1e-4, scan_stop: float = 2.0,
                tol: float = 1e-12) -> float:
-    """Smallest positive root of the thermodynamic-limit gap-closing cubic."""
+    """Smallest positive root of the thermodynamic-limit gap-closing cubic.
+
+    A scan finds the first sign change and bisection narrows it.  At large
+    nu the two positive roots sit near 0.32/nu and 0.76/nu, so step and
+    tolerance shrink as 1e-3/nu once that is below scan_step: the scan then
+    lands hundreds of steps between the roots, and the root keeps about
+    1e-11 relative accuracy.  Up to nu = 10 the scan is scan_step as given.
+    """
+    scale = min(1.0, 1e-3 / (nu * scan_step))
+    step, tol = scan_step * scale, tol * scale
     prev = _gap_cubic(0.0, nu)
-    x = scan_step
+    x = step
     while x <= scan_stop:
         cur = _gap_cubic(x, nu)
         if cur == 0.0:
             return x
         if (prev > 0.0) != (cur > 0.0):
-            lo, hi = x - scan_step, x
+            lo, hi = x - step, x
             flo = prev
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
@@ -187,5 +204,5 @@ def critical_j(nu: int, scan_step: float = 1e-4, scan_stop: float = 2.0,
                     lo, flo = mid, fmid
             return 0.5 * (lo + hi)
         prev = cur
-        x += scan_step
+        x += step
     raise NoRootError(f"gap cubic has no root in (0, {scan_stop}] for nu={nu}")

@@ -30,7 +30,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import LatticeSpec
 from .errors import ConvergenceError
@@ -300,7 +299,12 @@ class Spectrum:
 
 
 def _solve(matrix: np.ndarray, k: int, vectors: bool = True):
-    """Real symmetric eigensolve of one block or half-block."""
+    """Real symmetric eigensolve of one block or half-block.
+
+    scipy is imported here, so a scan served from the cache never loads it.
+    """
+    import scipy.linalg
+
     try:
         return scipy.linalg.eigh(matrix, eigvals_only=not vectors,
                                  driver="evd", check_finite=False,

@@ -1,18 +1,30 @@
 """Scan harness, method comparison, serialization, and the CLI."""
 
+import itertools
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mottscope
 import mottscope.cli as cli
+from mottscope import harness, meanfield
 from mottscope.cli import main, parse_axis, parse_int_axis
+from mottscope.config import LatticeSpec, ProbeSpec
 from mottscope.errors import ValidationError
-from mottscope.harness import (CSV_COLUMNS, ScanPlan, critical_points_report,
-                               fmt_float, relative_delta, rows_to_csv,
-                               rows_to_json, run_compare, run_scan,
-                               validate_plan)
+from mottscope.harness import (CSV_COLUMNS, KNOWN_METHODS, ScanPlan,
+                               critical_points_report, fmt_float,
+                               relative_delta, rows_to_csv, rows_to_json,
+                               run_compare, run_scan, validate_plan)
+from mottscope.meanfield import condensate_lambda, inelastic_cs_mf
+from mottscope.scatter import inelastic_cs_exact
+from mottscope.sce import inelastic_cs_sce, large_l_cs
 
 
 def small_plan(**overrides) -> ScanPlan:
@@ -462,8 +474,8 @@ GOLDEN = [
 5,1,5,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,sce,2,6.79599852968e-03,16,,
 5,1,5,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,mf,,0.00000000000e+00,0,,
 """),
-    # the theta = 0 exact and sce values are rounding noise, so only the
-    # compare rows are pinned here
+    # only the compare rows are pinned here; the theta = 0 exact and sce
+    # rows are test_zero_momentum_transfer_prints_zero's
     (["compare", "--sites", "4", "--u-over-j", "40", "--theta", "0,0.99"], """\
 4,1,4,4.00000000000e+01,0.00000000000e+00,2.00000000000e+00,compare,1,,,undefined_delta,
 4,1,4,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,compare,1,1.13747597228e-02,,,
@@ -481,3 +493,130 @@ def test_cli_rows_match_golden(capsys, no_cache_env):
         else:
             lines = lines[1:]
         assert lines == expected.splitlines(), argv
+
+
+def point_rows(plan: ScanPlan) -> list[dict]:
+    """plan's rows, each from its own call with a scalar theta."""
+    rows = []
+    for L, nu, u, theta, ein, method in itertools.product(
+            plan.sites, plan.fillings, plan.u_over_j, plan.thetas, plan.eins,
+            plan.methods):
+        lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
+        probe = ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=plan.mass_ratio)
+        row = {"L": L, "nu": nu, "N": nu * L, "u_over_j": fmt_float(u),
+               "theta": fmt_float(theta), "ein_er": fmt_float(ein),
+               "method": method, "gap_order": "", "value": "",
+               "channel_count": "", "warning": "", "error": ""}
+        try:
+            if method == "exact":
+                rec = inelastic_cs_exact(*harness._spectrum_unit(plan, L, nu, u),
+                                         lattice, probe)
+            elif method == "sce":
+                rec = inelastic_cs_sce(lattice, probe, u, gap_order=plan.gap_order)
+                row["gap_order"] = str(plan.gap_order)
+            elif method == "sce_largeL":
+                rec = large_l_cs(nu, probe, plan.v0_er, u, J_Er=plan.j_er)
+            else:
+                rec = inelastic_cs_mf(lattice, probe, u,
+                                      condensate_lambda(nu, u, plan.lambda_source))
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            assert isinstance(rec.value, float)
+            row.update(value=fmt_float(rec.value),
+                       channel_count=str(rec.channel_count), warning=rec.warning)
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    """One spectrum cache for every example, so each sector is solved once."""
+    return str(tmp_path_factory.mktemp("spectra"))
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, math.pi, 0.99, -3.0]),
+                   st.floats(-3.14, math.pi, allow_nan=False))
+# 1e-3 E_r is below every gap of these sectors; 20 E_r opens them all
+ENERGIES = st.one_of(st.sampled_from([1e-3, 20.0]), st.floats(1e-3, 20.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sites=st.lists(st.integers(2, 6), min_size=1, max_size=2, unique=True),
+       fillings=st.permutations([1, 2]).flatmap(
+           lambda p: st.integers(1, 2).map(lambda n: p[:n])),
+       u_over_j=st.lists(st.sampled_from([0.0, 4.5, 8.0, 25.0]), min_size=1,
+                         max_size=2),
+       thetas=st.lists(ANGLES, min_size=1, max_size=5).flatmap(
+           lambda ts: st.just(ts + ts[:1])),
+       eins=st.lists(ENERGIES, min_size=1, max_size=3),
+       methods=st.permutations(KNOWN_METHODS).flatmap(
+           lambda p: st.integers(1, 4).map(lambda n: list(p[:n]))),
+       gap_order=st.sampled_from([1, 2]),
+       lambda_source=st.sampled_from(["perturbative", "iterative"]))
+def test_scan_rows_match_per_point_calls(shared_cache, sites, fillings, u_over_j,
+                                         thetas, eins, methods, gap_order,
+                                         lambda_source):
+    # a unit's rows come from one call per (E_in, method) over the whole
+    # theta axis; every cell must be what a call at that one angle gives
+    plan = ScanPlan(sites=sites, fillings=list(fillings), u_over_j=u_over_j,
+                    thetas=thetas, eins=eins, methods=methods,
+                    gap_order=gap_order, lambda_source=lambda_source,
+                    cache_dir=shared_cache)
+    assert run_scan(plan) == point_rows(plan)
+
+
+def test_mf_sweep_solves_lambda_once(tmp_path, monkeypatch, no_cache_env):
+    calls = []
+    solve = meanfield.selfconsistent_lambda
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "selfconsistent_lambda", counted)
+    out = tmp_path / "mf.csv"
+    assert main(["mf", "--sites", "4", "--filling", "1", "--u-over-j", "11.6",
+                 "--lambda-source", "iterative", "--ein", "0.5:5:40",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 41
+
+
+def test_zero_momentum_transfer_prints_zero(capsys, no_cache_env):
+    # theta = 0 and pi transfer no momentum; both sums vanish there exactly
+    assert main(["scan", "--sites", "4", "--u-over-j", "40", "--methods",
+                 "exact,sce", "--theta", "0,3.141592653589793"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == [
+        f"4,1,4,4.00000000000e+01,{theta},2.00000000000e+00,{cells}"
+        for theta in ("0.00000000000e+00", "3.14159265359e+00")
+        for cells in ("exact,,0.00000000000e+00,34,,",
+                      "sce,1,0.00000000000e+00,9,,")]
+
+
+def test_cli_critical_at_huge_filling(capsys, no_cache_env):
+    assert main(["critical", "--filling", "100000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("100000,3.15446789887e-06,")
+
+
+def test_scipy_loads_only_where_it_solves(tmp_path):
+    # scipy serves only the block eigensolve and the self-consistent lambda;
+    # importing the CLI, and a scan whose spectra all come from the cache,
+    # never load it
+    env = dict(os.environ, PYTHONPATH=str(Path(mottscope.__file__).parents[1]))
+    env.pop("MOTTSCOPE_CACHE", None)
+    scan = ["scan", "--sites", "3,4", "--u-over-j", "5,40",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "rows.csv")]
+    subprocess.run([sys.executable, "-m", "mottscope.cli", *scan], env=env,
+                   check=True)
+    code = (
+        "import sys, mottscope.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'warm scan'\n")
+    result = subprocess.run([sys.executable, "-c", code, *scan], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -178,7 +178,8 @@ def test_mf_context_fields():
         root = math.sqrt(1.0 - 8.0 * 6.5e-3 * delta / 2.0)
         value += root * c**2 * math.exp(-(kappa_el * root)**2
                                         / (2.0 * math.pi**2 * math.sqrt(15.0)))
-    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0)
+    assert mf.condensate_lambda(1, 8.0) == lam
+    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0, lam)
     assert rec.value == pytest.approx(value * lam**2, rel=1e-12)
 
 
@@ -186,15 +187,21 @@ MF_LATTICE = LatticeSpec(L=8, nu=1)
 MF_PROBE = ProbeSpec(theta=0.99, Ein_Er=2.0)
 
 
+def cs_mf(probe, u, lambda_source="perturbative"):
+    """The mean-field cross section as a scan computes it: lambda, then the sum."""
+    return mf.inelastic_cs_mf(MF_LATTICE, probe, u,
+                              mf.condensate_lambda(1, u, lambda_source))
+
+
 def test_inelastic_cs_mf_frozen_perturbative():
-    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0)
+    rec = cs_mf(MF_PROBE, 8.0)
     assert rec.value == pytest.approx(0.6836727570627674, rel=1e-12)
     assert rec.channel_count == 2
     assert rec.warning == "lambda_validity"
 
 
 def test_inelastic_cs_mf_frozen_iterative():
-    rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0, lambda_source="iterative")
+    rec = cs_mf(MF_PROBE, 8.0, "iterative")
     assert rec.value == pytest.approx(0.28405358531647174, rel=1e-9)
     assert rec.channel_count == 2
     assert rec.warning == "lambda_validity"
@@ -203,10 +210,10 @@ def test_inelastic_cs_mf_frozen_iterative():
 def test_inelastic_cs_mf_channel_closure():
     u = 8.0
     # particle channel closes first: U delta_+ > U delta_-
-    rec = mf.inelastic_cs_mf(MF_LATTICE, ProbeSpec(theta=0.99, Ein_Er=0.025), u)
+    rec = cs_mf(ProbeSpec(theta=0.99, Ein_Er=0.025), u)
     assert rec.channel_count == 1
     assert rec.value == pytest.approx(0.15293431956867098, rel=1e-12)
-    rec = mf.inelastic_cs_mf(MF_LATTICE, ProbeSpec(theta=0.99, Ein_Er=0.01), u)
+    rec = cs_mf(ProbeSpec(theta=0.99, Ein_Er=0.01), u)
     assert rec.channel_count == 0
     assert rec.value == 0.0
     assert rec.warning == "no_open_channels"
@@ -214,7 +221,8 @@ def test_inelastic_cs_mf_channel_closure():
 
 def test_inelastic_cs_mf_mott_phase_zero():
     for u in (11.66, 50.0, 300.0):
-        rec = mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, u)
+        assert mf.condensate_lambda(1, u) == 0.0
+        rec = cs_mf(MF_PROBE, u)
         assert rec.value == 0.0
         assert rec.channel_count == 0
         assert rec.warning == ""
@@ -222,9 +230,11 @@ def test_inelastic_cs_mf_mott_phase_zero():
 
 def test_inelastic_cs_mf_domain():
     with pytest.raises(DomainError, match="lambda_source"):
-        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 8.0, lambda_source="closed_form")
+        mf.condensate_lambda(1, 8.0, "closed_form")
     with pytest.raises(DomainError, match="lambda_source"):
         # validated even when the Mott branch would short-circuit
-        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 50.0, lambda_source="closed_form")
+        mf.condensate_lambda(1, 50.0, "closed_form")
     with pytest.raises(DomainError, match="U/J"):
-        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 0.0)
+        mf.condensate_lambda(1, 0.0)
+    with pytest.raises(DomainError, match="U/J"):
+        mf.inelastic_cs_mf(MF_LATTICE, MF_PROBE, 0.0, 0.0)

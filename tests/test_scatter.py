@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mottscope import scatter
 from mottscope.config import ProbeSpec
-from mottscope.scatter import (_lattice_sum, elastic_cs_exact, elastic_kappa,
-                               form_factor, inelastic_cs_exact, interference,
-                               open_channels)
+from mottscope.meanfield import condensate_lambda, inelastic_cs_mf
+from mottscope.scatter import (_lattice_sum, angle_sums, elastic_cs_exact,
+                               elastic_kappa, form_factor, inelastic_cs_exact,
+                               interference, open_channels)
+from mottscope.sce import inelastic_cs_sce, large_l_cs
 
 from oracles import (boson_states, dense_channel_table, dense_inelastic_cs,
                      density_fluctuation, ground_vector)
@@ -73,19 +76,55 @@ def test_lattice_sum_near_distant_peaks():
 
 def test_channel_kinematics():
     kappa_el = elastic_kappa(PROBE)
-    open_mask, root, kappa_d = open_channels([0.0, 1.0, 2.0, 3.0], PROBE)
+    open_mask, root = open_channels([0.0, 1.0, 2.0, 3.0], PROBE)
     assert open_mask.tolist() == [True, True, True, False]
     np.testing.assert_allclose(root, [1.0, math.sqrt(0.5), 0.0, 0.0], atol=1e-15)
+    # each channel scatters at kappa_el * root, one row per angle
+    seen = []
+    kel, sums = angle_sums(PROBE, root, lambda kd: seen.append(kd) or kd)
+    kappa_d = seen[0][0]
+    assert kel.tolist() == [kappa_el]
     assert kappa_d[0] == kappa_el
     assert kappa_d[1] == pytest.approx(kappa_el * math.sqrt(0.5), rel=1e-14)
     assert kappa_d[2] == 0.0 and kappa_d[3] == 0.0   # at and past threshold
+    assert sums[0] == kappa_d.sum()
     # any shape of excitation grid: the sce pair grid, the two mf gaps
     grid = np.array([[0.5, 2.5], [4.0, 1.0]])
-    open_mask, root, kappa_d = open_channels(grid, PROBE)
+    open_mask, root = open_channels(grid, PROBE)
     assert open_mask.tolist() == [[True, False], [False, True]]
     np.testing.assert_allclose(root ** 2, np.maximum(1.0 - grid / 2.0, 0.0),
                                atol=1e-15)
-    np.testing.assert_array_equal(kappa_d, kappa_el * root)
+    seen.clear()
+    angle_sums(PROBE, root, lambda kd: seen.append(kd) or kd)
+    np.testing.assert_array_equal(seen[0], [kappa_el * root])
+
+
+def test_angle_axis_matches_scalar_angles(sector_factory, monkeypatch):
+    # an array of angles, split over several blocks, gives every angle the
+    # bits of its own scalar call; theta = 0 and pi transfer nothing, so
+    # the exact and strong-coupling sums are exactly +0 there
+    monkeypatch.setattr(scatter, "ANGLE_BLOCK_ELEMENTS", 64)
+    lattice, _, spectrum, me = sector_factory(5, 1, 10.0)
+    thetas = np.array([0.0, 0.99, -0.4, math.pi, 0.99, 2.5, -3.0])
+    for ein in (0.2, 2.0, 20.0):
+        probe = ProbeSpec(Ein_Er=ein, theta=thetas, mass_ratio=0.7)
+        for method in (
+                lambda p: inelastic_cs_exact(spectrum, me, lattice, p),
+                lambda p: inelastic_cs_sce(lattice, p, 10.0, gap_order=2),
+                lambda p: large_l_cs(1, p, lattice.V0_Er, 10.0),
+                lambda p: inelastic_cs_mf(lattice, p, 3.0, condensate_lambda(1, 3.0))):
+            rec = method(probe)
+            assert rec.value.shape == thetas.shape
+            for theta, value in zip(thetas.tolist(), rec.value.tolist()):
+                one = method(ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=0.7))
+                assert isinstance(one.value, float)
+                assert value == one.value
+                assert (rec.channel_count, rec.warning) == (one.channel_count, one.warning)
+        for method in (lambda p: inelastic_cs_exact(spectrum, me, lattice, p),
+                       lambda p: inelastic_cs_sce(lattice, p, 10.0)):
+            values = method(ProbeSpec(Ein_Er=ein, theta=thetas)).value
+            assert [math.copysign(1.0, v) for v in values[[0, 3]]] == [1.0, 1.0]
+            assert values[0] == values[3] == 0.0
 
 
 def fluct_reference(L, nu, u, probe):

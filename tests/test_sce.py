@@ -321,3 +321,13 @@ def test_critical_couplings():
     assert critical_j(2) < critical_j(1)
     with pytest.raises(NoRootError):
         critical_j(1, scan_stop=0.1)
+
+
+@pytest.mark.parametrize("nu", [10**3, 10**5])
+def test_critical_j_at_large_filling(nu):
+    # both positive roots sit within 0.5/nu of each other, far inside one
+    # 1e-4 step at nu = 1e5; the scan must still find the smaller one
+    roots = np.roots([2.0 * nu * (nu * nu + 2.0), 1.0 + 2.0 * nu * (nu + 1),
+                      -2.0 * (2 * nu + 1), 1.0])
+    smallest = min(r.real for r in roots if np.isreal(r) and r.real > 0.0)
+    assert critical_j(nu) == pytest.approx(smallest, rel=1e-9)
