@@ -12,11 +12,11 @@ from .fock import DEFAULT_DIM_CAP, FockBasis, dimension, enumerate_basis
 from .spectrum import (HamiltonianMatrix, Spectrum, build_hamiltonian, cache_key,
                        diagonalize, ground_matrix_elements, lattice_bonds,
                        load_spectrum, save_spectrum, spectrum_cache_path)
-from .scatter import (CrossSectionRecord, angle_sums, elastic_cs_exact,
-                      elastic_kappa, form_factor, inelastic_cs_exact, interference,
+from .scatter import (CrossSectionRecord, angle_sums, elastic_kappa, form_factor,
+                      inelastic_cs_exact, interference, lattice_channel_sum,
                       open_channels)
 from .sce import (critical_j, density_matrix_element, effective_tunneling,
-                  energy_gap, inelastic_cs_sce, large_l_cs, ph_energy_first_order,
+                  inelastic_cs_sce, large_l_cs, ph_energy_first_order,
                   ph_energy_second_order, ph_momentum_grids, tunneling_phase)
 from .meanfield import (LAMBDA_SOURCES, c_coefficient, condensate_lambda,
                         coupling_coefficients, critical_j_mf, inelastic_cs_mf,

@@ -9,6 +9,7 @@ built-in defaults apply last.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -41,30 +42,30 @@ _DEFAULTS = {
 def parse_axis(text: str) -> list[float]:
     """Comma list or start:stop:count[:log] range expression."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
-            raise ValidationError(
-                f"bad range {text!r}; expected start:stop:count[:log]")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValidationError(f"range count must be >= 1 in {text!r}")
-        if len(parts) == 4:
-            if start <= 0 or stop <= 0:
-                raise ValidationError("log range needs positive endpoints")
-            return [float(x) for x in np.geomspace(start, stop, count)]
-        return [float(x) for x in np.linspace(start, stop, count)]
+    parts = text.split(":")
+    if len(parts) not in (1, 3, 4) or (len(parts) == 4 and parts[3] != "log"):
+        raise ValidationError(
+            f"bad range {text!r}; expected start:stop:count[:log]")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        if len(parts) == 1:
+            return [float(tok) for tok in text.split(",") if tok.strip()]
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad axis value in {text!r}: {exc}") from exc
+    if count < 1:
+        raise ValidationError(f"range count must be >= 1 in {text!r}")
+    if len(parts) == 4:
+        if start <= 0 or stop <= 0:
+            raise ValidationError("log range needs positive endpoints")
+        return [float(x) for x in np.geomspace(start, stop, count)]
+    return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def parse_int_axis(text: str) -> list[int]:
     values = parse_axis(text)
     out = []
     for v in values:
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise ValidationError(f"expected integers, got {v}")
         out.append(int(v))
     return out

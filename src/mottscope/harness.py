@@ -74,11 +74,19 @@ class ScanPlan:
     jobs: int = 1
 
 
+# The SCE gap cubic holds nu^3 as a float; at nu = 1e100 the cube of its
+# root, about 3e-302, is still a normal float.
+MAX_FILLING = 1e100
+
+
 def _check_fillings(fillings) -> None:
     """The filling rule of scans and of the critical-point table."""
     for nu in fillings:
         if not isinstance(nu, int) or nu < 1:
             raise ValidationError(f"fillings must be integers >= 1, got {nu!r}")
+        if nu > MAX_FILLING:
+            raise ValidationError(
+                f"fillings must be at most {MAX_FILLING:g}, got {nu!r}")
 
 
 def validate_plan(plan: ScanPlan) -> None:
@@ -150,16 +158,14 @@ def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
         path = spectrum_cache_path(plan.cache_dir, L, N, key)
         if os.path.exists(path):
             try:
-                cached_L, cached_N, cached_key, spec, weights = load_spectrum(
-                    path, plan.j_er)
+                cached_L, cached_N, cached_key, spec, weights = load_spectrum(path)
             except (ValueError, OSError):
                 pass  # unreadable or unverified entry: recompute and overwrite
             else:
                 if (cached_L, cached_N, cached_key) == (L, N, key):
                     return spec, weights
     basis = enumerate_basis(L, N)
-    lattice = LatticeSpec(L=L, nu=nu, V0_Er=plan.v0_er, J_Er=plan.j_er)
-    spec = diagonalize(build_hamiltonian(basis, u, lattice))
+    spec = diagonalize(build_hamiltonian(basis, u))
     weights = ground_matrix_elements(spec, basis)
     spec = spec.channel_table()
     if path:

@@ -69,8 +69,11 @@ def coupling_coefficients(nu: int, mu_tilde: float):
 
 
 def critical_j_mf(nu: int) -> float:
-    """Mean-field transition point 1/2 + nu - sqrt(nu (nu+1)) at fixed density."""
-    return 0.5 + nu - math.sqrt(nu * (nu + 1.0))
+    """Mean-field transition point 1/2 + nu - sqrt(nu (nu+1)) at fixed density.
+
+    Evaluated as 0.25 / (nu + 1/2 + sqrt(nu (nu+1))), free of cancellation.
+    """
+    return 0.25 / (nu + 0.5 + math.sqrt(nu * (nu + 1.0)))
 
 
 def lambda_squared(nu: int, j_tilde: float) -> float:

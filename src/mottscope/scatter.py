@@ -1,11 +1,12 @@
-"""Elastic and inelastic cross sections from the exact channel table.
+"""Cross sections from a lattice channel table, and the kinematics they share.
 
-The exact sums run over the momentum-resolved table of spectrum.py: on the
-ring every eigenstate has a lattice momentum K, so its site-resolved
-density amplitudes are one weight times a plane wave, and the lattice sum
-is the same interference kernel that the strong-coupling channels use.
-Every cross section is the angular density normalized by N and by the
-squared scattering length, in the diagonal (density-coupling) impulse
+A lattice channel table lists channels n with an excitation energy, a
+lattice momentum K_n and a weight w_n = |<n|n_0|0>|^2.  The exact spectrum
+is one: on the ring every eigenstate has a lattice momentum, so its
+site-resolved density amplitudes are one weight times a plane wave.  The
+strong-coupling pairs are another.  lattice_channel_sum sums both.  Every
+cross section is the angular density normalized by N and by the squared
+scattering length, in the diagonal (density-coupling) impulse
 approximation.  Channels with negative kinematic radicand are closed and
 dropped from the sums; open_channels decides which are open for every
 method.  A probe's theta may be one angle or a 1-D array of them: the
@@ -125,41 +126,43 @@ def _lattice_sum(kappa_d, k, L: int):
     The kernel has period 2 pi in kappa - K.  Near kappa - K = 2 pi m with
     m != 0, the rounding of L (kappa - K) / 2 is not small against the sine
     it feeds (it moved one L=7 cross section by 3e-10 relative).  Shifting k
-    by a multiple of L keeps the argument in [-pi, pi], where it is.  The
-    exact and the strong-coupling sums both go through this kernel.
+    by a multiple of L keeps the argument in [-pi, pi], where it is.
     """
     k = k + L * np.rint(np.asarray(kappa_d) / (2.0 * math.pi) - np.asarray(k) / L)
     return interference(kappa_d, 2.0 * math.pi * k / L, L)
 
 
-def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
-                       probe: ProbeSpec) -> CrossSectionRecord:
-    """Sum of all open excitation channels weighted by density matrix elements.
+def lattice_channel_sum(excitation_er, weights, momentum, lattice: LatticeSpec,
+                        probe: ProbeSpec) -> CrossSectionRecord:
+    """Cross section of a lattice channel table, the one sum of exact and sce.
 
-    Each open eigenstate n != 0 (entry 0 is the ground state), of lattice momentum K_n, contributes
-    sqrt(radicand) * w_n * interference(kappa_n, K_n, L) * W(kappa_n)^2,
-    with w_n = |<n|n_0|0>|^2, and the total is normalized by the particle
-    number.  With no elastic momentum transfer the density probe is the
+    Channel n, of excitation energy dE_n (in E_r), weight w_n = |<n|n_0|0>|^2
+    and lattice momentum K_n = 2 pi momentum[n] / L, contributes
+    sqrt(radicand) * w_n * interference(kappa_n, K_n, L) * W(kappa_n)^2 when
+    open, and the total is normalized by N.  channel_count counts the open
+    channels, zero weights included; no_open_channels is set exactly when it
+    is 0.  With no elastic momentum transfer the density probe is the
     conserved N, which excites nothing, so the sum is exactly 0 there.
     """
-    open_mask, root = open_channels(spectrum.energies - spectrum.energies[0], probe)
-    idx = np.flatnonzero(open_mask[1:]) + 1
-    if idx.size == 0:
+    open_mask, root = open_channels(excitation_er, probe)
+    count = int(np.count_nonzero(open_mask))
+    if count == 0:
         zeros = np.zeros(np.size(probe.theta))
         return CrossSectionRecord(per_angle(probe, zeros), 0,
                                   warning="no_open_channels")
-    root, w, k = root[idx], weights[idx], spectrum.momentum[idx]
+    if count < root.size:   # compact to the open channels
+        idx = np.flatnonzero(open_mask)
+        root, weights, momentum = root[idx], weights[idx], momentum[idx]
     kappa_el, sums = angle_sums(probe, root, lambda kd: (
-        root * (w * _lattice_sum(kd, k, lattice.L))
+        root * (weights * _lattice_sum(kd, momentum, lattice.L))
         * form_factor(kd, lattice.V0_Er) ** 2))
     values = np.where(kappa_el == 0.0, 0.0, sums / lattice.N)
-    return CrossSectionRecord(per_angle(probe, values), int(idx.size))
+    return CrossSectionRecord(per_angle(probe, values), count)
 
 
-def elastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
-                     probe: ProbeSpec) -> CrossSectionRecord:
-    """Ground-state channel evaluated at the elastic momentum transfer."""
-    kappa_el = elastic_kappa(probe)
-    value = float(weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
-                  * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
-    return CrossSectionRecord(value, 1)
+def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
+                       probe: ProbeSpec) -> CrossSectionRecord:
+    """The lattice channel sum over the excited eigenstates, entries 1... of the table."""
+    energies = spectrum.energies_J * lattice.J_Er
+    return lattice_channel_sum(energies[1:] - energies[0], weights[1:],
+                               spectrum.momentum[1:], lattice, probe)

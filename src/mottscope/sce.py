@@ -3,8 +3,9 @@
 The lowest excitation manifold is one particle-hole pair on top of the
 uniform filling.  Center-of-mass momentum q and relative quantum number
 varkappa diagonalize the hopping to first order; energies carry a
-second-order closed form, and the density matrix elements feed the
-analytic cross section.  All SCE energies are in units of U, with
+second-order closed form.  With the density matrix elements as weights,
+the pairs form a lattice channel table that scatter.lattice_channel_sum
+sums like the exact spectrum.  All SCE energies are in units of U, with
 J_tilde = J/U the small parameter.
 """
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from .config import DEFAULT_J_ER, LatticeSpec, ProbeSpec
 from .errors import DomainError, NoRootError
-from .scatter import (CrossSectionRecord, _lattice_sum, angle_sums,
-                      elastic_kappa, form_factor, open_channels, per_angle)
+from .scatter import (CrossSectionRecord, elastic_kappa, form_factor,
+                      lattice_channel_sum, per_angle)
 
 _QZERO_TOL = 1e-12
 
@@ -47,26 +48,21 @@ def ph_energy_first_order(q_d, k_d, nu: int):
     return out if np.ndim(out) else float(out)
 
 
-def ph_energy_second_order(q_d, k_d, nu: int, L: int, _force_delta=None):
+def ph_energy_second_order(q_d, k_d, nu: int, L: int):
     """Second-order pair energy coefficient (closed form, valid for L >= 3).
 
     Accepts scalars or broadcastable numpy grids.  The q = 0 branch carries
     two extra terms from the uniform intermediate state; they exactly
-    compensate the bracket switch, keeping the energy continuous in q.  The
-    _force_delta knob exists only so tests can check that compensation term
-    by term.
+    compensate the bracket switch, keeping the energy continuous in q.
     """
     if L < 3:
         raise DomainError(f"second-order pair energy needs L >= 3, got L={L}")
     q_d = np.asarray(q_d, dtype=float)
     k_d = np.asarray(k_d, dtype=float)
-    z = np.angle(effective_tunneling(q_d, nu))
-    if _force_delta is None:
-        # q = 0 mask: q within _QZERO_TOL of a multiple of 2 pi
-        two_pi = 2.0 * math.pi
-        delta = (np.abs(q_d - two_pi * np.rint(q_d / two_pi)) < _QZERO_TOL).astype(float)
-    else:
-        delta = float(_force_delta)
+    z = tunneling_phase(q_d, nu)
+    # q = 0 mask: q within _QZERO_TOL of a multiple of 2 pi
+    two_pi = 2.0 * math.pi
+    delta = (np.abs(q_d - two_pi * np.rint(q_d / two_pi)) < _QZERO_TOL).astype(float)
     npp = nu * (nu + 1)
     cq = np.cos(q_d)
     out = -2.0 * L * npp + (6.0 * nu * nu + 6.0 * nu + 1.0)
@@ -99,7 +95,7 @@ def density_matrix_element(q_d, k_d, nu: int, L: int):
             + math.cos(k * L) * complex(math.cos(b), math.sin(b)))
     q_d = np.asarray(q_d, dtype=float)
     k_d = np.asarray(k_d, dtype=float)
-    z = np.angle(effective_tunneling(q_d, nu))
+    z = tunneling_phase(q_d, nu)
     out = -2j * np.sin(k_d) * np.sin(q_d / 2.0) * (
         np.exp(1j * (q_d / 2.0 - z))
         + np.cos(k_d * L) * np.exp(-1j * (q_d / 2.0 + z * (L - 1))))
@@ -110,9 +106,12 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
                      u_over_j: float, gap_order: int = 1) -> CrossSectionRecord:
     """Analytic inelastic cross section from the one-pair manifold.
 
-    The sum runs over the full (q, varkappa) grid at each angle.  Like the
-    exact sum it is exactly 0 without elastic momentum transfer, where only
-    q = 0 survives the lattice sum and |M|^2 carries sin^2(q/2).
+    The pairs form a lattice channel table, summed like the exact one by
+    scatter.lattice_channel_sum: pair (q, varkappa) has excitation energy
+    U times its gap, momentum index q and, to leading order, weight
+    |<pair|n_0|0>|^2 = J_tilde^2 2 nu (nu+1) / L^2 |M(q, varkappa)|^2.
+    |M|^2 carries sin^2(q/2), so the q = 0 pairs weigh exactly 0 and the
+    table holds only q != 0.
     """
     if gap_order not in (1, 2):
         raise DomainError(f"gap_order must be 1 or 2, got {gap_order}")
@@ -123,21 +122,16 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
         raise DomainError(f"strong-coupling pipeline needs L >= 3, got L={L}")
     j_tilde = 1.0 / u_over_j
     q_d, k_d = ph_momentum_grids(L)
-    qg = q_d[:, None]
+    qg = q_d[1:, None]
     kg = k_d[None, :]
     gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
     if gap_order == 2:
         gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
-    open_mask, root = open_channels(u_over_j * lattice.J_Er * gap, probe)
-    m2 = np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
-    weight = root * m2   # closed channels have root 0, so they add nothing
-    q_index = np.arange(L)[:, None]
-    kappa_el, sums = angle_sums(probe, root, lambda kd: (
-        weight * _lattice_sum(kd, q_index, L) * form_factor(kd, lattice.V0_Er) ** 2))
-    values = np.where(kappa_el == 0.0, 0.0, j_tilde**2 * 2.0 * (nu + 1) / L**3 * sums)
-    warning = "" if open_mask.any() else "no_open_channels"
-    return CrossSectionRecord(per_angle(probe, values),
-                              int((open_mask & (m2 > 0.0)).sum()), warning)
+    weights = (j_tilde**2 * 2.0 * nu * (nu + 1) / L**2) \
+        * np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
+    return lattice_channel_sum((u_over_j * lattice.J_Er * gap).ravel(),
+                               weights.ravel(), np.repeat(np.arange(1, L), L - 1),
+                               lattice, probe)
 
 
 def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,
@@ -157,15 +151,6 @@ def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,
     band_top = u_over_j + 2.0 * math.sqrt(4.0 * nu * (nu + 1) + 1.0)
     warning = "" if probe.Ein_Er / J_Er > band_top else "high_ein_condition"
     return CrossSectionRecord(per_angle(probe, values), 0, warning)
-
-
-def energy_gap(j_tilde: float, L: int, nu: int) -> float:
-    """Finite-size pair gap in units of U, through second order in J_tilde."""
-    npp = nu * (nu + 1)
-    second = 1.0 + 2.0 * npp * (3.0 - 2.0 * math.cos(2.0 * math.pi / L)) \
-        + (4.0 / (3.0 * L)) * math.sin(math.pi / L) ** 2 * (5.0 * npp + 2.0)
-    return 1.0 - 2.0 * math.cos(math.pi / L) * math.sqrt(1.0 + 4.0 * npp) \
-        * j_tilde + second * j_tilde**2
 
 
 def _gap_cubic(j_tilde: float, nu: int) -> float:

@@ -1,7 +1,8 @@
 """Hamiltonian assembly and momentum-resolved exact diagonalization.
 
 The matrix is assembled in units of J, where it depends on (L, N, U/J)
-only; recoil-unit energies are recovered by multiplying with J_Er.  On the
+only, and the channel table keeps its energies in that one unit; a cross
+section forms recoil-unit energies by multiplying with J_Er.  On the
 ring, translation by one site commutes with the Hamiltonian, so the fixed-N
 sector splits into L Bloch blocks of lattice momentum K = 2 pi k / L.  Each
 block is solved completely, because the scattering sums run over the whole
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LatticeSpec
 from .errors import ConvergenceError
 from .fock import FockBasis
 
@@ -170,7 +170,6 @@ class HamiltonianMatrix:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    scale_Er: float
     L: int
     orbits: Orbits
 
@@ -221,8 +220,7 @@ def lattice_bonds(L: int):
     return sorted({tuple(sorted((j, (j + 1) % L))) for j in range(L)})
 
 
-def build_hamiltonian(basis: FockBasis, u_over_j: float,
-                      lattice: LatticeSpec) -> HamiltonianMatrix:
+def build_hamiltonian(basis: FockBasis, u_over_j: float) -> HamiltonianMatrix:
     """Assemble the fixed-N Hamiltonian in units of J."""
     occ = basis.occ
     dim = len(basis)
@@ -248,7 +246,6 @@ def build_hamiltonian(basis: FockBasis, u_over_j: float,
         rows=np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
         cols=np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64),
         vals=np.concatenate(vals) if vals else np.zeros(0),
-        scale_Er=lattice.J_Er,
         L=basis.L,
         orbits=translation_orbits(basis),
     )
@@ -276,26 +273,25 @@ class Spectrum:
     """Channel table of one sector: every eigenstate's energy and momentum.
 
     Energies ascend, so the ground state is entry 0.  Entry n has lattice
-    momentum K = 2 pi momentum[n] / L.  energies_J keeps the raw eigenvalues
-    in units of J so that cached and freshly computed tables agree bit for
-    bit.  orbits and blocks hold the Bloch eigenvectors that
-    ground_matrix_elements needs; a table read from the cache has neither.
+    momentum K = 2 pi momentum[n] / L.  energies_J holds the raw eigenvalues
+    in units of J, the one unit of the table, so cached and freshly computed
+    tables agree bit for bit.  orbits and blocks hold the Bloch eigenvectors
+    that ground_matrix_elements needs; a table read from the cache has
+    neither.
     """
 
-    energies: np.ndarray
     energies_J: np.ndarray
     momentum: np.ndarray
     orbits: Orbits | None = None
     blocks: tuple = ()
 
     def __post_init__(self):
-        self.energies.flags.writeable = False
         self.energies_J.flags.writeable = False
         self.momentum.flags.writeable = False
 
     def channel_table(self) -> Spectrum:
         """The same table without eigenvectors, as the cache stores it."""
-        return Spectrum(self.energies, self.energies_J, self.momentum)
+        return Spectrum(self.energies_J, self.momentum)
 
 
 def _solve(matrix: np.ndarray, k: int, vectors: bool = True):
@@ -349,10 +345,8 @@ def diagonalize(h: HamiltonianMatrix) -> Spectrum:
         slots = slot[start:start + copies * n].reshape(copies, n)
         blocks.append(Eigenblock(k, frame, vectors, slots))
         start += copies * n
-    energies_j = energies_j[order]
     return Spectrum(
-        energies=energies_j * h.scale_Er,
-        energies_J=energies_j,
+        energies_J=energies_j[order],
         momentum=np.concatenate(momenta)[order],
         orbits=h.orbits,
         blocks=tuple(blocks),
@@ -373,7 +367,7 @@ def ground_matrix_elements(spectrum: Spectrum, basis: FockBasis) -> np.ndarray:
     zero = spectrum.blocks[0]
     ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0]).real
     occ0 = basis.occ[:, 0]
-    weights = np.zeros(spectrum.energies.size)
+    weights = np.zeros(spectrum.energies_J.size)
     for block in spectrum.blocks:
         phase = _bloch_phase(block.k, orb.shift, basis.L)
         fourier = np.zeros(orb.size.size, dtype=phase.dtype)
@@ -420,12 +414,12 @@ def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum,
     os.replace(tmp, path)
 
 
-def load_spectrum(path: str, J_Er: float) -> tuple[int, int, str, Spectrum, np.ndarray]:
+def load_spectrum(path: str) -> tuple[int, int, str, Spectrum, np.ndarray]:
     """Read a cached channel table back as (L, N, key, spectrum, weights).
 
-    Energies are rescaled with the given J_Er.  Raises ValueError for any
-    file that is not in this format or fails its checksum, truncation
-    included, so callers can treat a damaged cache entry uniformly.
+    Raises ValueError for any file that is not in this format or fails its
+    checksum, truncation included, so callers can treat a damaged cache
+    entry uniformly.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -446,6 +440,4 @@ def load_spectrum(path: str, J_Er: float) -> tuple[int, int, str, Spectrum, np.n
     energies_j = np.frombuffer(body, "<f8", count, start).astype(float)
     weights = np.frombuffer(body, "<f8", count, start + 8 * count).astype(float)
     momentum = np.frombuffer(body, "<u4", count, start + 16 * count).astype(np.int64)
-    spectrum = Spectrum(energies=energies_j * J_Er, energies_J=energies_j,
-                        momentum=momentum)
-    return int(L), int(N), key, spectrum, weights
+    return int(L), int(N), key, Spectrum(energies_j, momentum), weights

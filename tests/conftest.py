@@ -21,7 +21,7 @@ def sector_factory():
         if key not in cache:
             lattice = LatticeSpec(L=L, nu=nu)
             basis = enumerate_basis(L, lattice.N)
-            ham = build_hamiltonian(basis, float(u_over_j), lattice)
+            ham = build_hamiltonian(basis, float(u_over_j))
             spectrum = diagonalize(ham)
             cache[key] = (lattice, basis, spectrum.channel_table(),
                           ground_matrix_elements(spectrum, basis))

@@ -13,6 +13,10 @@ import numpy as np
 import scipy.sparse
 
 from mottscope.errors import DomainError
+from mottscope.scatter import (CrossSectionRecord, _lattice_sum, angle_sums,
+                               elastic_kappa, form_factor, open_channels)
+from mottscope.sce import (density_matrix_element, ph_energy_first_order,
+                           ph_energy_second_order, ph_momentum_grids)
 
 
 def boson_states(L, N):
@@ -121,6 +125,40 @@ def dense_inelastic_cs(energies_j, table, J_Er, V0_Er, Ein_Er, theta,
     form = np.exp(-kd ** 2 / (4.0 * math.pi ** 2 * math.sqrt(V0_Er)))
     value = (np.sqrt(radicand[idx]) * structure * form ** 2).sum() / round(N)
     return float(value), int(idx.size)
+
+
+def elastic_cs_exact(spectrum, weights, lattice, probe):
+    """Ground-state channel of a channel table, at the elastic momentum transfer."""
+    kappa_el = elastic_kappa(probe)
+    value = float(weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
+                  * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
+    return CrossSectionRecord(value, 1)
+
+
+def sce_grid_sum(lattice, probe, u_over_j, gap_order=1):
+    """The strong-coupling sum as its own loop over the full (q, varkappa) grid.
+
+    This is the form inelastic_cs_sce had before it became a channel table:
+    the q = 0 row is kept, |M|^2 and the kinematic root are multiplied
+    first, and the prefactor J_tilde^2 2 (nu+1) / L^3 is applied to the
+    sum.  Returns (values per angle, channel_count); the count is of open
+    pairs with |M|^2 > 0.
+    """
+    L, nu = lattice.L, lattice.nu
+    j_tilde = 1.0 / u_over_j
+    q_d, k_d = ph_momentum_grids(L)
+    qg, kg = q_d[:, None], k_d[None, :]
+    gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
+    if gap_order == 2:
+        gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
+    open_mask, root = open_channels(u_over_j * lattice.J_Er * gap, probe)
+    m2 = np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
+    weight = root * m2
+    q_index = np.arange(L)[:, None]
+    kappa_el, sums = angle_sums(probe, root, lambda kd: (
+        weight * _lattice_sum(kd, q_index, L) * form_factor(kd, lattice.V0_Er) ** 2))
+    values = np.where(kappa_el == 0.0, 0.0, j_tilde**2 * 2.0 * (nu + 1) / L**3 * sums)
+    return values, int((open_mask & (m2 > 0.0)).sum())
 
 
 def density_fluctuation(states, gs_vec, kappa_d):

@@ -42,8 +42,8 @@ def test_01_basis_enumeration_size_and_speed():
 
 
 def test_02_spectral_span_anchor(mott_anchor):
-    _, _, spectrum, _ = mott_anchor
-    span = float(spectrum.energies.max() - spectrum.energies.min())
+    lattice, _, spectrum, _ = mott_anchor
+    span = float(spectrum.energies_J.max() - spectrum.energies_J.min()) * lattice.J_Er
     print(f"measured: max(E_n - E_0) = {span:.6f} E_r (want 1.84 +/- 0.01)")
     assert span == pytest.approx(1.84, abs=0.01)
 
@@ -55,7 +55,7 @@ def _open_percentage(mott_anchor, ein):
     lattice, _, spectrum, me = mott_anchor
     rec = inelastic_cs_exact(spectrum, me, lattice,
                              ProbeSpec(Ein_Er=ein, theta=0.99))
-    return 100.0 * rec.channel_count / (spectrum.energies.size - 1)
+    return 100.0 * rec.channel_count / (spectrum.energies_J.size - 1)
 
 
 @pytest.mark.parametrize("ein,want", EIN_TABLE)
@@ -108,7 +108,7 @@ def test_06_pair_states_orthonormal_and_projected(L):
                             for q in q_grid for k in k_grid])
     gram_err = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max()
 
-    hop = build_hamiltonian(basis, 0.0, lattice).to_dense()
+    hop = build_hamiltonian(basis, 0.0).to_dense()
     pair_diag = 0.5 * (basis.occ * (basis.occ - 1)).sum(axis=1)
     proj = np.where(pair_diag == 1, 1.0, 0.0)
     resid = 0.0

@@ -299,7 +299,8 @@ def test_parse_axis_forms():
     assert parse_axis("1:4:7") == pytest.approx([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
     assert parse_axis("1:100:3:log") == pytest.approx([1.0, 10.0, 100.0])
     assert parse_int_axis("4,8") == [4, 8]
-    for bad in ("1:2", "1:2:3:geom", "a,b", "1:4:0"):
+    for bad in ("1:2", "1:2:3:geom", "a,b", "1:4:0", "-3:3:2x", "-3:3:23,0",
+                "a:3:2"):
         with pytest.raises(ValidationError):
             parse_axis(bad)
     with pytest.raises(ValidationError, match="positive endpoints"):
@@ -386,6 +387,13 @@ def test_cli_rejects_non_finite_and_unparsable_numbers(flag, value, fragment,
     assert main(["sce", "--sites", "3", f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert fragment in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("theta", ["-3:3:2x", "-3:3:23,0", "a:3:2"])
+def test_cli_rejects_malformed_range(theta, capsys, no_cache_env):
+    assert main(["sce", "--sites", "3", f"--theta={theta}"]) == 2
+    captured = capsys.readouterr()
+    assert f"bad axis value in {theta!r}" in captured.err and captured.out == ""
 
 
 def test_cli_rejects_overflowing_probe(capsys, no_cache_env):
@@ -563,7 +571,14 @@ def test_scan_rows_match_per_point_calls(shared_cache, sites, fillings, u_over_j
                     thetas=thetas, eins=eins, methods=methods,
                     gap_order=gap_order, lambda_source=lambda_source,
                     cache_dir=shared_cache)
-    assert run_scan(plan) == point_rows(plan)
+    rows = run_scan(plan)
+    assert rows == point_rows(plan)
+    # exact and sce warn exactly on the rows that open no channel; mf's
+    # Mott-phase rows have count 0 and no warning by design
+    for row in rows:
+        if row["method"] in ("exact", "sce") and not row["error"]:
+            closed = row["channel_count"] == "0"
+            assert (row["warning"] == "no_open_channels") == closed
 
 
 def test_mf_sweep_solves_lambda_once(tmp_path, monkeypatch, no_cache_env):
@@ -599,7 +614,32 @@ def test_cli_critical_at_huge_filling(capsys, no_cache_env):
     assert main(["critical", "--filling", "100000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    assert lines[1].startswith("100000,3.15446789887e-06,")
+    assert lines[1].startswith("100000,3.15446789887e-06,3.17010675670e+05,"
+                               "1.24999375004e-06,")
+
+
+def test_cli_critical_at_extreme_fillings(capsys, no_cache_env):
+    # 1/2 + nu - sqrt(nu (nu+1)) cancels to 0 at nu = 1e20; the rewritten
+    # form keeps mf_jc at 1/(8 nu)
+    assert main(["critical", "--filling", "1e20"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == str(10**20)
+    assert row[3:5] == ["1.25000000000e-21", "8.00000000000e+20"]
+    # nu^3 of the gap cubic is no float there; inf is no integer
+    for filling in ("1e200", "1e400", "nan"):
+        assert main(["critical", f"--filling={filling}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mottscope: ") and captured.out == ""
+
+
+def test_closed_probe_warns_for_exact_and_sce(capsys, no_cache_env):
+    assert main(["scan", "--sites", "3", "--u-over-j", "4", "--theta=-3",
+                 "--ein", "0.01", "--methods", "exact,sce"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == [
+        f"3,1,3,4.00000000000e+00,-3.00000000000e+00,1.00000000000e-02,{cells}"
+        for cells in ("exact,,0.00000000000e+00,0,no_open_channels,",
+                      "sce,1,0.00000000000e+00,0,no_open_channels,")]
 
 
 def test_scipy_loads_only_where_it_solves(tmp_path):

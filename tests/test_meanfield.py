@@ -98,8 +98,11 @@ def test_coupling_coefficients_frozen():
 
 def test_critical_j_mf_frozen():
     assert mf.critical_j_mf(1) == pytest.approx(1.5 - SQRT2, abs=1e-16)
-    assert mf.critical_j_mf(1) == pytest.approx(0.08578643762690485, abs=1e-16)
-    assert mf.critical_j_mf(2) == pytest.approx(0.05051025721682212, abs=1e-16)
+    # the correctly rounded values of 0.0857864376269049512 and
+    # 0.0505102572168219018, which 1/2 + nu - sqrt(nu (nu+1)) misses by
+    # 1.0e-16 and 2.2e-16 through cancellation
+    assert mf.critical_j_mf(1) == 0.08578643762690495
+    assert mf.critical_j_mf(2) == 0.050510257216821904
     assert 1.0 / mf.critical_j_mf(1) == pytest.approx(11.656854249492394, abs=1e-12)
     assert 1.0 / mf.critical_j_mf(2) == pytest.approx(19.797958971132626, abs=1e-12)
 

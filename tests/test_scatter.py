@@ -6,13 +6,13 @@ import pytest
 from mottscope import scatter
 from mottscope.config import ProbeSpec
 from mottscope.meanfield import condensate_lambda, inelastic_cs_mf
-from mottscope.scatter import (_lattice_sum, angle_sums, elastic_cs_exact,
+from mottscope.scatter import (_lattice_sum, angle_sums,
                                elastic_kappa, form_factor, inelastic_cs_exact,
                                interference, open_channels)
 from mottscope.sce import inelastic_cs_sce, large_l_cs
 
 from oracles import (boson_states, dense_channel_table, dense_inelastic_cs,
-                     density_fluctuation, ground_vector)
+                     density_fluctuation, elastic_cs_exact, ground_vector)
 
 PROBE = ProbeSpec(Ein_Er=2.0, theta=0.99)
 

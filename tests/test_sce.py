@@ -9,13 +9,14 @@ from mottscope.errors import DomainError, NoRootError
 from mottscope.fock import enumerate_basis
 from mottscope.scatter import elastic_kappa, form_factor, interference
 from mottscope.sce import (critical_j, density_matrix_element,
-                           effective_tunneling, energy_gap,
+                           effective_tunneling,
                            inelastic_cs_sce, large_l_cs,
                            ph_energy_first_order, ph_energy_second_order,
                            ph_momentum_grids, tunneling_phase)
 from mottscope.spectrum import build_hamiltonian
 
-from oracles import group_by_first, pair_manifold_pt, ph_state_vector
+from oracles import (group_by_first, pair_manifold_pt, ph_state_vector,
+                     sce_grid_sum)
 
 PROBE = ProbeSpec(Ein_Er=2.0, theta=0.99)
 
@@ -81,12 +82,9 @@ def test_second_order_continuity_at_zone_center():
     e0 = ph_energy_second_order(0.0, math.pi / 6, 1, 6)
     assert e0 == pytest.approx(-14.333333333333334, rel=1e-13)
     assert ph_energy_second_order(1e-13, math.pi / 6, 1, 6) == e0
-    generic = ph_energy_second_order(1e-5, math.pi / 6, 1, 6, _force_delta=0)
+    # at q = 1e-5 the mask is off, so this is the generic branch
+    generic = ph_energy_second_order(1e-5, math.pi / 6, 1, 6)
     assert generic == pytest.approx(e0, abs=1e-8)
-    # forcing the delta terms away from q = 0 must NOT reproduce the band
-    forced = ph_energy_second_order(2 * math.pi / 6, math.pi / 6, 1, 6,
-                                    _force_delta=1)
-    assert abs(forced - ph_energy_second_order(2 * math.pi / 6, math.pi / 6, 1, 6)) > 1.0
 
 
 def test_second_order_frozen_value():
@@ -108,7 +106,7 @@ def test_ph_states_orthonormal_and_diagonalize_hopping(L, nu):
 
     # projected eigenvalue relation: P K P |q,k> = -e1 |q,k> with K the
     # hopping part of the Hamiltonian (units of J)
-    hop = build_hamiltonian(basis, 0.0, lattice).to_dense()
+    hop = build_hamiltonian(basis, 0.0).to_dense()
     pair_diag = 0.5 * (basis.occ * (basis.occ - 1)).sum(axis=1)
     in_manifold = pair_diag == (0.5 * L * nu * (nu - 1) + 1)
     proj = np.where(in_manifold, 1.0, 0.0)
@@ -253,8 +251,30 @@ def test_second_order_grid_matches_scalar_calls():
     # the q = 0 branch is picked by the mask on every image of q = 0
     zero = ph_energy_second_order(np.array([0.0, 2.0 * math.pi]), 0.7, 2, 7)
     assert zero[0] == pytest.approx(zero[1], rel=1e-12)
-    assert ph_energy_second_order(2.0 * math.pi, 0.7, 2, 7) \
-        == ph_energy_second_order(2.0 * math.pi, 0.7, 2, 7, _force_delta=1)
+    assert ph_energy_second_order(2.0 * math.pi, 0.7, 2, 7) == zero[1]
+
+
+def test_sce_channel_table_matches_grid_sum():
+    # the q != 0 pair table, summed by the lattice channel kernel, against
+    # the full-grid sum with its own prefactor: the same value to rounding,
+    # the same channel count, and a warning exactly when no pair is open
+    rng = np.random.default_rng(20261020)
+    sites = list(range(3, 41)) + [96]
+    for call in range(160):
+        L = sites[call % len(sites)]
+        lattice = LatticeSpec(L=L, nu=int(rng.integers(1, 4)))
+        u = float(np.exp(rng.uniform(math.log(2.0), math.log(300.0))))
+        thetas = np.concatenate([[0.0, math.pi], rng.uniform(-3.14, 3.14, 3)])
+        probe = ProbeSpec(Ein_Er=float(np.exp(rng.uniform(math.log(1e-3),
+                                                           math.log(20.0)))),
+                          theta=thetas)
+        for gap_order in (1, 2):
+            rec = inelastic_cs_sce(lattice, probe, u, gap_order=gap_order)
+            values, count = sce_grid_sum(lattice, probe, u, gap_order)
+            assert rec.channel_count == count
+            assert rec.warning == ("" if count else "no_open_channels")
+            assert rec.value[:2].tolist() == [0.0, 0.0]
+            np.testing.assert_allclose(rec.value, values, rtol=1e-14, atol=0.0)
 
 
 def test_sce_quadratic_law_at_fixed_interaction_energy():
@@ -306,12 +326,6 @@ def test_large_l_convergence_point():
     for L in (12, 16):
         finite = inelastic_cs_sce(LatticeSpec(L=L, nu=1), probe, u20)
         assert finite.value == pytest.approx(limit.value, rel=0.01)
-
-
-def test_energy_gap():
-    assert energy_gap(0.0, 8, 1) == 1.0
-    assert energy_gap(0.02, 8, 1) == pytest.approx(0.8921888716863741, rel=1e-13)
-    assert energy_gap(0.02, 8, 1) < energy_gap(0.01, 8, 1) < 1.0
 
 
 def test_critical_couplings():

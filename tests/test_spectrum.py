@@ -18,7 +18,7 @@ from oracles import (bloch_block, boson_states, dense_hamiltonian,
 def build(L, nu, u):
     lattice = LatticeSpec(L=L, nu=nu)
     basis = enumerate_basis(L, lattice.N)
-    ham = build_hamiltonian(basis, u, lattice)
+    ham = build_hamiltonian(basis, u)
     return lattice, basis, ham
 
 
@@ -186,10 +186,8 @@ def test_diagonalize_properties():
         for row, k in zip(block.slots, partners):
             assert (spec.momentum[row] == k).all()
             assert np.array_equal(spec.energies_J[row], spec.energies_J[block.slots[0]])
-    # E_r energies are exactly the J-unit energies times the scale
-    assert np.array_equal(spec.energies, spec.energies_J * 6.5e-3)
     with pytest.raises(ValueError):
-        spec.energies[0] = 0.0
+        spec.energies_J[0] = 0.0
     table = spec.channel_table()
     assert table.blocks == () and table.orbits is None
     assert np.array_equal(table.momentum, spec.momentum)
@@ -244,16 +242,12 @@ def test_cache_roundtrip_is_bitwise(tmp_path):
     key = cache_key(5.0)
     assert key == "5.00000000000e+00"
     assert path.endswith("L3_N3_U5.00000000000e+00.spec")
-    L, N, key2, loaded, loaded_w = load_spectrum(path, 6.5e-3)
+    L, N, key2, loaded, loaded_w = load_spectrum(path)
     assert (L, N, key2) == (3, 3, key)
     assert np.array_equal(loaded.energies_J, spec.energies_J)
     assert np.array_equal(loaded.momentum, spec.momentum)
     assert np.array_equal(loaded_w, weights)
-    assert np.array_equal(loaded.energies, spec.energies)
     assert loaded.blocks == ()
-    # a different energy scale only rescales the E_r view
-    _, _, _, rescaled, _ = load_spectrum(path, 1.0)
-    assert np.array_equal(rescaled.energies, spec.energies_J)
     # O(dim) numbers: magic, header, key, three columns, checksum
     assert os.path.getsize(path) == 8 + 20 + len(key) + 20 * 10 + 4
 
@@ -263,18 +257,18 @@ def test_cache_rejects_damaged_files(tmp_path):
     raw = open(path, "rb").read()
     open(path, "wb").write(b"NOTMAGIC" + raw[8:])
     with pytest.raises(ValueError, match="not a spectrum cache file"):
-        load_spectrum(path, 6.5e-3)
+        load_spectrum(path)
     # the previous format is not read, so its entries get recomputed
     open(path, "wb").write(b"MWSPEC01" + raw[8:])
     with pytest.raises(ValueError, match="not a spectrum cache file"):
-        load_spectrum(path, 6.5e-3)
+        load_spectrum(path)
     for cut in (4, 20, len(raw) // 2, len(raw) - 8, len(raw) - 1):
         open(path, "wb").write(raw[:cut])
         with pytest.raises(ValueError):
-            load_spectrum(path, 6.5e-3)
+            load_spectrum(path)
     open(path, "wb").write(raw + b"\0")
     with pytest.raises(ValueError, match="corrupt"):
-        load_spectrum(path, 6.5e-3)
+        load_spectrum(path)
 
 
 def test_cache_checksum_catches_every_flipped_bit(tmp_path):
@@ -286,7 +280,7 @@ def test_cache_checksum_catches_every_flipped_bit(tmp_path):
             flipped[pos] ^= 1 << bit
             open(path, "wb").write(flipped)
             with pytest.raises(ValueError, match="corrupt"):
-                load_spectrum(path, 6.5e-3)
+                load_spectrum(path)
 
 
 def test_cache_key_distinguishes_nearby_couplings():
