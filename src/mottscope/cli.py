@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -62,10 +63,21 @@ def parse_axis(text: str) -> list[float]:
 
 
 def parse_int_axis(text: str) -> list[int]:
-    values = parse_axis(text)
+    """Integer axis; list tokens are read exactly as decimals, not as floats.
+
+    A value must be integral and within float range, as in every other axis.
+    """
+    if ":" in text:
+        values = [Decimal(v) for v in parse_axis(text)]
+    else:
+        try:
+            values = [Decimal(tok) for tok in text.split(",") if tok.strip()]
+        except InvalidOperation as exc:
+            raise ValidationError(f"bad axis value in {text!r}") from exc
     out = []
     for v in values:
-        if not math.isfinite(v) or v != int(v):
+        if (not v.is_finite() or not math.isfinite(float(v))
+                or v != v.to_integral_value()):
             raise ValidationError(f"expected integers, got {v}")
         out.append(int(v))
     return out

@@ -25,9 +25,5 @@ class NoRootError(RuntimeError):
     """No sign change found when bracketing a root."""
 
 
-class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration exhausted its iteration budget."""
-
-
 class ValidationError(ValueError):
     """Scan plan or CLI input is malformed."""

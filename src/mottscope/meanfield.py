@@ -3,9 +3,11 @@
 A single site sees the Hamiltonian h = eps(n) - lambda (a + a^dag) in
 units of U, with lambda determined self-consistently.  Near the Mott
 boundary lambda is small and a fourth-order expansion in lambda gives it
-in closed form; an iterative solver on a truncated site basis provides
-the independent cross-check.  The chemical potential only enters here,
-through the fixed-density value mu_FD(nu) = sqrt(nu (nu+1)) - 1.
+in closed form; a bracketed root of the self-consistency condition on a
+truncated site basis provides the independent cross-check.  Both need
+numpy only; scipy serves one solver in the package, the block eigensolve
+in spectrum.  The chemical potential only enters here, through the
+fixed-density value mu_FD(nu) = sqrt(nu (nu+1)) - 1.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import math
 import numpy as np
 
 from .config import LatticeSpec, ProbeSpec
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .scatter import (CrossSectionRecord, angle_sums, form_factor, open_channels,
                       per_angle)
 
 LAMBDA_SOURCES = ("perturbative", "iterative")
 LAMBDA_VALIDITY = 0.1
-_COLLAPSE_FLOOR = 1e-10
-_MAX_ITER = 100_000
+_BISECTIONS = 100
 
 
 def mu_fixed_density(nu: int) -> float:
@@ -85,39 +86,39 @@ def lambda_squared(nu: int, j_tilde: float) -> float:
 
 
 def selfconsistent_lambda(nu: int, j_tilde: float, n_max: int | None = None) -> float:
-    """Damped fixed-point solution of lambda = 2 J_tilde <a> on a truncated site.
+    """Root of lambda = 2 J_tilde <a>_lambda on a site truncated at n_max bosons.
 
-    Returns 0.0 once the iteration collapses below 1e-10; raises
-    NonConvergenceError after 1e5 sweeps without meeting the 1e-12 step
-    criterion.  scipy is imported here, the only place mean field needs it.
+    On the Mott side, j_tilde <= critical_j_mf(nu), the root is 0.0: only
+    the nu+-1 states enter at O(lambda^2), so the truncated site's onset is
+    the closed form's.  Above it, f = 2 J_tilde <a> - lambda is positive for
+    small lambda and negative at 2 J_tilde sqrt(n_max), since <a> <
+    sqrt(n_max).  Bisection on that bracket, with <a> from the numpy eigh
+    ground state of the site matrix, stops once the bracket is 1e-15 of its
+    upper end wide, or after _BISECTIONS halvings.
     """
-    import scipy.linalg
-
     if j_tilde <= 0:
         raise DomainError(f"j_tilde must be positive, got {j_tilde}")
     if n_max is None:
         n_max = nu + 10
     if n_max < nu + 4:
         raise DomainError(f"n_max={n_max} too small, need at least nu+4")
+    if j_tilde <= critical_j_mf(nu):
+        return 0.0
     ns = np.arange(n_max + 1)
-    diag = 0.5 * ns * (ns - 1.0) - mu_fixed_density(nu) * ns
+    site = np.diag(0.5 * ns * (ns - 1.0) - mu_fixed_density(nu) * ns)
     root = np.sqrt(ns[1:].astype(float))
-    lam = 0.1
-    for _ in range(_MAX_ITER):
-        _, vec = scipy.linalg.eigh_tridiagonal(
-            diag, -lam * root, select="i", select_range=(0, 0))
-        psi = vec[:, 0]
-        if psi[np.argmax(np.abs(psi))] < 0:
-            psi = -psi
-        a_expect = float(np.sum(root * psi[:-1] * psi[1:]))
-        lam_next = 0.5 * lam + 0.5 * (2.0 * j_tilde * a_expect)
-        if lam_next < _COLLAPSE_FLOOR:
-            return 0.0
-        if abs(lam_next - lam) < 1e-12:
-            return lam_next
-        lam = lam_next
-    raise NonConvergenceError(
-        f"no fixed point after {_MAX_ITER} sweeps at nu={nu}, j_tilde={j_tilde}")
+    hop = np.diag(root, 1) + np.diag(root, -1)
+    lo, hi = 0.0, 2.0 * j_tilde * math.sqrt(n_max)
+    for _ in range(_BISECTIONS):
+        lam = 0.5 * (lo + hi)
+        psi = np.linalg.eigh(site - lam * hop)[1][:, 0]
+        if 2.0 * j_tilde * float(root @ (psi[:-1] * psi[1:])) > lam:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def condensate_lambda(nu: int, u_over_j: float,

@@ -111,7 +111,9 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
     U times its gap, momentum index q and, to leading order, weight
     |<pair|n_0|0>|^2 = J_tilde^2 2 nu (nu+1) / L^2 |M(q, varkappa)|^2.
     |M|^2 carries sin^2(q/2), so the q = 0 pairs weigh exactly 0 and the
-    table holds only q != 0.
+    table holds only q != 0.  Past the gap closing, where a pair gap (q = 0
+    included) is <= 0, the value is kept and the record warns gap_closed,
+    unless no pair is open and it warns no_open_channels.
     """
     if gap_order not in (1, 2):
         raise DomainError(f"gap_order must be 1 or 2, got {gap_order}")
@@ -122,16 +124,19 @@ def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
         raise DomainError(f"strong-coupling pipeline needs L >= 3, got L={L}")
     j_tilde = 1.0 / u_over_j
     q_d, k_d = ph_momentum_grids(L)
-    qg = q_d[1:, None]
+    qg = q_d[:, None]
     kg = k_d[None, :]
     gap = 1.0 - j_tilde * ph_energy_first_order(qg, kg, nu)
     if gap_order == 2:
         gap = gap + j_tilde**2 * ph_energy_second_order(qg, kg, nu, L)
     weights = (j_tilde**2 * 2.0 * nu * (nu + 1) / L**2) \
-        * np.abs(density_matrix_element(qg, kg, nu, L)) ** 2
-    return lattice_channel_sum((u_over_j * lattice.J_Er * gap).ravel(),
-                               weights.ravel(), np.repeat(np.arange(1, L), L - 1),
-                               lattice, probe)
+        * np.abs(density_matrix_element(qg[1:], kg, nu, L)) ** 2
+    rec = lattice_channel_sum((u_over_j * lattice.J_Er * gap[1:]).ravel(),
+                              weights.ravel(), np.repeat(np.arange(1, L), L - 1),
+                              lattice, probe)
+    if rec.channel_count and gap.min() <= 0.0:
+        rec.warning = "gap_closed"
+    return rec
 
 
 def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,

@@ -141,8 +141,9 @@ def sce_grid_sum(lattice, probe, u_over_j, gap_order=1):
     This is the form inelastic_cs_sce had before it became a channel table:
     the q = 0 row is kept, |M|^2 and the kinematic root are multiplied
     first, and the prefactor J_tilde^2 2 (nu+1) / L^3 is applied to the
-    sum.  Returns (values per angle, channel_count); the count is of open
-    pairs with |M|^2 > 0.
+    sum.  Returns (values per angle, channel_count, warning); the count is
+    of open pairs with |M|^2 > 0, and the warning is no_open_channels when
+    none is open, else gap_closed when any pair of the grid has gap <= 0.
     """
     L, nu = lattice.L, lattice.nu
     j_tilde = 1.0 / u_over_j
@@ -158,7 +159,10 @@ def sce_grid_sum(lattice, probe, u_over_j, gap_order=1):
     kappa_el, sums = angle_sums(probe, root, lambda kd: (
         weight * _lattice_sum(kd, q_index, L) * form_factor(kd, lattice.V0_Er) ** 2))
     values = np.where(kappa_el == 0.0, 0.0, j_tilde**2 * 2.0 * (nu + 1) / L**3 * sums)
-    return values, int((open_mask & (m2 > 0.0)).sum())
+    count = int((open_mask & (m2 > 0.0)).sum())
+    if count == 0:
+        return values, count, "no_open_channels"
+    return values, count, "gap_closed" if (gap <= 0.0).any() else ""
 
 
 def density_fluctuation(states, gs_vec, kappa_d):
@@ -251,3 +255,62 @@ def group_by_first(pairs, tol=1e-9):
         groups.append((sum(e1s) / len(e1s), sorted(p[1] for p in pairs[i:j])))
         i = j
     return groups
+
+
+def _site_condensate(eigh, diag, off, lam):
+    """<a> and d<a>/dlambda in the ground state of diag - lam (a + a^dag).
+
+    d<a>/dlambda is the second-order sum |<m|a + a^dag|0>|^2 / (E_m - E_0)
+    over the excited states of the full eigensystem that eigh returns.
+    """
+    n = len(diag)
+    h = [[diag[i] if i == j else (-lam * off[min(i, j)] if abs(i - j) == 1 else 0)
+          for j in range(n)] for i in range(n)]
+    energies, vecs = eigh(h)
+    ground = min(range(n), key=lambda m: energies[m])
+
+    def hop(m):  # <m|a + a^dag|0>
+        return sum(off[i] * (vecs[i][m] * vecs[i + 1][ground]
+                             + vecs[i + 1][m] * vecs[i][ground])
+                   for i in range(n - 1))
+
+    slope = sum(hop(m) ** 2 / (energies[m] - energies[ground])
+                for m in range(n) if m != ground)
+    return hop(ground) / 2, slope
+
+
+def mp_selfconsistent_lambda(nu, j_tilde, n_max=None, dps=40):
+    """Root of lambda = 2 J~ <a>_lambda on the site truncated at n_max bosons.
+
+    Newton steps on 2 J~ <a> - lambda, started from the top of the bracket
+    2 J~ sqrt(n_max): in floats with numpy's eigh until the step is 1e-9
+    of lambda, then with mpmath's eigsy at dps digits until it is 10^(5-dps).
+    """
+    import mpmath
+
+    n_max = nu + 10 if n_max is None else n_max
+
+    def solve(eigh, sqrt, lam, tol):
+        mu = sqrt(nu * (nu + 1)) - 1
+        diag = [n * (n - 1) / 2 - mu * n for n in range(n_max + 1)]
+        off = [sqrt(n) for n in range(1, n_max + 1)]
+        for _ in range(60):
+            a, slope = _site_condensate(eigh, diag, off, lam)
+            step = (2 * j_tilde * a - lam) / (2 * j_tilde * slope - 1)
+            lam -= step
+            if abs(step) <= tol * lam:
+                return lam
+        raise AssertionError(f"no Newton convergence at nu={nu}, j={j_tilde}")
+
+    def np_eigh(h):
+        e, v = np.linalg.eigh(np.array(h, dtype=float))
+        return e.tolist(), v.tolist()
+
+    def mp_eigh(h):
+        e, q = mpmath.eigsy(mpmath.matrix(h))
+        return [e[i] for i in range(len(h))], q.tolist()
+
+    start = solve(np_eigh, math.sqrt, 2.0 * j_tilde * math.sqrt(n_max), 1e-9)
+    with mpmath.workdps(dps):
+        return solve(mp_eigh, mpmath.sqrt, mpmath.mpf(start),
+                     mpmath.mpf(10) ** (5 - dps))

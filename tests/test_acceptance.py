@@ -226,10 +226,13 @@ def test_12_condensate_onset_continuity(nu):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "the quartic closed form overshoots the iterative fixed point by a "
-    "factor of about 2.15 even arbitrarily close to the threshold (both "
-    "vanish there, but with different slopes), so 1e-6 agreement for "
-    "lambda <= 0.05 is not attainable"))
+    "measured worst gap 0.5346 (nu=1) and 0.5361 (nu=2): the closed-form "
+    "lambda is about 2.15 times the self-consistent root near the threshold. "
+    "The cause is a coefficient defect, not a limit of the quartic form: "
+    "coupling_coefficients' B is 2.31 times too small (a fit of the truncated "
+    "site's ground energy gives 59.89 for nu=1, the code 25.92) and "
+    "lambda_squared divides by B where the minimum needs 2B; "
+    "sqrt(2 x 2.31) = sqrt(4.62) = 2.15"))
 @pytest.mark.parametrize("nu", [1, 2])
 def test_12_solver_agreement_near_threshold(nu):
     jc = critical_j_mf(nu)

@@ -474,9 +474,9 @@ GOLDEN = [
       "--lambda-source", "iterative", "--ein", "0.025,2.0",
       "--methods", "sce,mf"], """\
 5,1,5,8.00000000000e+00,9.90000000000e-01,2.50000000000e-02,sce,2,5.81612898558e-04,2,,
-5,1,5,8.00000000000e+00,9.90000000000e-01,2.50000000000e-02,mf,,6.35414258395e-02,1,lambda_validity,
+5,1,5,8.00000000000e+00,9.90000000000e-01,2.50000000000e-02,mf,,6.35414258417e-02,1,lambda_validity,
 5,1,5,8.00000000000e+00,9.90000000000e-01,2.00000000000e+00,sce,2,1.86012436098e-01,16,,
-5,1,5,8.00000000000e+00,9.90000000000e-01,2.00000000000e+00,mf,,2.84053585316e-01,2,lambda_validity,
+5,1,5,8.00000000000e+00,9.90000000000e-01,2.00000000000e+00,mf,,2.84053585326e-01,2,lambda_validity,
 5,1,5,4.00000000000e+01,9.90000000000e-01,2.50000000000e-02,sce,2,0.00000000000e+00,0,no_open_channels,
 5,1,5,4.00000000000e+01,9.90000000000e-01,2.50000000000e-02,mf,,0.00000000000e+00,0,,
 5,1,5,4.00000000000e+01,9.90000000000e-01,2.00000000000e+00,sce,2,6.79599852968e-03,16,,
@@ -632,6 +632,18 @@ def test_cli_critical_at_extreme_fillings(capsys, no_cache_env):
         assert captured.err.startswith("mottscope: ") and captured.out == ""
 
 
+def test_cli_reads_integer_fillings_exactly(capsys, no_cache_env):
+    # 2^53 + 1 and 1e50 have no float of their own; the integer axis reads
+    # its tokens as decimals, so the row names the filling that was asked for
+    for filling, nu in (("9007199254740993", 2**53 + 1), ("1e50", 10**50)):
+        assert main(["critical", "--filling", filling]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[0] == str(nu)
+    assert parse_int_axis("9007199254740993,1e50,2E3") == [2**53 + 1, 10**50, 2000]
+    for bad in ("1.0000000000000000001", "1e999999999", "sNaN", "4,x"):
+        with pytest.raises(ValidationError):
+            parse_int_axis(bad)
+
+
 def test_closed_probe_warns_for_exact_and_sce(capsys, no_cache_env):
     assert main(["scan", "--sites", "3", "--u-over-j", "4", "--theta=-3",
                  "--ein", "0.01", "--methods", "exact,sce"]) == 0
@@ -643,9 +655,9 @@ def test_closed_probe_warns_for_exact_and_sce(capsys, no_cache_env):
 
 
 def test_scipy_loads_only_where_it_solves(tmp_path):
-    # scipy serves only the block eigensolve and the self-consistent lambda;
-    # importing the CLI, and a scan whose spectra all come from the cache,
-    # never load it
+    # scipy serves only the block eigensolve; importing the CLI, a scan
+    # whose spectra all come from the cache, and a superfluid mean-field
+    # scan with the self-consistent lambda never load it
     env = dict(os.environ, PYTHONPATH=str(Path(mottscope.__file__).parents[1]))
     env.pop("MOTTSCOPE_CACHE", None)
     scan = ["scan", "--sites", "3,4", "--u-over-j", "5,40",
@@ -656,7 +668,10 @@ def test_scipy_loads_only_where_it_solves(tmp_path):
         "import sys, mottscope.cli as cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'warm scan'\n")
+        "assert 'scipy' not in sys.modules, 'warm scan'\n"
+        "assert cli.main(['mf', '--sites', '4', '--u-over-j', '8',\n"
+        "                 '--lambda-source', 'iterative']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'iterative mf'\n")
     result = subprocess.run([sys.executable, "-c", code, *scan], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -10,6 +10,8 @@ from mottscope.config import LatticeSpec, ProbeSpec
 from mottscope.errors import DomainError
 from mottscope import meanfield as mf
 
+from oracles import mp_selfconsistent_lambda
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -136,18 +138,33 @@ def test_lambda_squared_frozen():
 
 
 def test_selfconsistent_lambda_frozen():
-    assert mf.selfconsistent_lambda(1, 0.09) == pytest.approx(0.0496686044766617, rel=1e-9)
-    # Mott side collapses to exactly zero once clear of the threshold;
-    # right at it the damped steps can stall just above the floor
+    assert mf.selfconsistent_lambda(1, 0.09) == pytest.approx(0.0496686044557347, rel=1e-9)
+    # the Mott side, up to and including the threshold, is exactly zero
     assert mf.selfconsistent_lambda(1, 0.08) == 0.0
     assert mf.selfconsistent_lambda(2, 0.045) == 0.0
-    assert mf.selfconsistent_lambda(2, 0.05) < 1e-9
+    assert mf.selfconsistent_lambda(2, 0.05) == 0.0
+    for nu in (1, 2):
+        assert mf.selfconsistent_lambda(nu, mf.critical_j_mf(nu)) == 0.0
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_selfconsistent_lambda_matches_mp_root(nu):
+    # test_12's grid from 1.0005 to 1.06 J~c, where the map's slope at the
+    # root nears 1, and two points deep in the superfluid
+    jc = mf.critical_j_mf(nu)
+    grid = [float(j) for j in np.linspace(1.0005 * jc, 1.06 * jc, 12)]
+    worst = 0.0
+    for j in grid + [0.09, 0.125]:
+        want = mp_selfconsistent_lambda(nu, j)
+        worst = max(worst, float(abs(mf.selfconsistent_lambda(nu, j) - want) / want))
+    print(f"measured: nu={nu} worst relative gap to the mpmath root {worst:.2e}")
+    assert worst < 1e-10
 
 
 def test_selfconsistent_truncation_insensitive():
     base = mf.selfconsistent_lambda(1, 0.125)
     wide = mf.selfconsistent_lambda(1, 0.125, n_max=21)
-    assert base == pytest.approx(0.17120187178531437, rel=1e-10)
+    assert base == pytest.approx(0.17120187178827204, rel=1e-10)
     assert abs(base - wide) < 1e-10
     with pytest.raises(DomainError, match="too small"):
         mf.selfconsistent_lambda(1, 0.125, n_max=3)
@@ -205,7 +222,7 @@ def test_inelastic_cs_mf_frozen_perturbative():
 
 def test_inelastic_cs_mf_frozen_iterative():
     rec = cs_mf(MF_PROBE, 8.0, "iterative")
-    assert rec.value == pytest.approx(0.28405358531647174, rel=1e-9)
+    assert rec.value == pytest.approx(0.2840535853262863, rel=1e-9)
     assert rec.channel_count == 2
     assert rec.warning == "lambda_validity"
 

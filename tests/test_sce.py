@@ -257,7 +257,8 @@ def test_second_order_grid_matches_scalar_calls():
 def test_sce_channel_table_matches_grid_sum():
     # the q != 0 pair table, summed by the lattice channel kernel, against
     # the full-grid sum with its own prefactor: the same value to rounding,
-    # the same channel count, and a warning exactly when no pair is open
+    # the same channel count, and the same warning: no_open_channels exactly
+    # when no pair is open, else gap_closed past the gap closing
     rng = np.random.default_rng(20261020)
     sites = list(range(3, 41)) + [96]
     for call in range(160):
@@ -270,9 +271,9 @@ def test_sce_channel_table_matches_grid_sum():
                           theta=thetas)
         for gap_order in (1, 2):
             rec = inelastic_cs_sce(lattice, probe, u, gap_order=gap_order)
-            values, count = sce_grid_sum(lattice, probe, u, gap_order)
+            values, count, warning = sce_grid_sum(lattice, probe, u, gap_order)
             assert rec.channel_count == count
-            assert rec.warning == ("" if count else "no_open_channels")
+            assert rec.warning == warning
             assert rec.value[:2].tolist() == [0.0, 0.0]
             np.testing.assert_allclose(rec.value, values, rtol=1e-14, atol=0.0)
 
@@ -291,6 +292,25 @@ def test_sce_closed_channels():
     assert rec.value == 0.0
     assert rec.channel_count == 0
     assert rec.warning == "no_open_channels"
+
+
+def test_sce_gap_closed_warning():
+    # L=8, nu=1: the q = 0 pair gap 1 - 6 J~ cos(pi/8) closes below
+    # U/J = 5.54 and the lowest q != 0 one below 5.17.  Past the closing
+    # the negative-gap pairs count as open and the value stands, with a
+    # warning in place of the empty cell
+    lattice, probe = LatticeSpec(L=8, nu=1), ProbeSpec(theta=0.99, Ein_Er=2.0)
+    rec = inelastic_cs_sce(lattice, probe, 2.0)
+    assert rec.value == 2.7530875544305187
+    assert rec.channel_count == 49
+    assert rec.warning == "gap_closed"
+    assert inelastic_cs_sce(lattice, probe, 5.3).warning == "gap_closed"
+    # a closed probe keeps its own warning: the row's value is exactly 0
+    rec = inelastic_cs_sce(lattice, ProbeSpec(theta=0.99, Ein_Er=1e-4), 5.3)
+    assert (rec.value, rec.channel_count, rec.warning) == (0.0, 0, "no_open_channels")
+    assert inelastic_cs_sce(lattice, probe, 5.6).warning == ""
+    # the order-2 shift, extensive in L, closes it further out
+    assert inelastic_cs_sce(lattice, probe, 5.6, gap_order=2).warning == "gap_closed"
 
 
 def test_sce_domain_errors():
