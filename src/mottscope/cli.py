@@ -62,25 +62,36 @@ def parse_axis(text: str) -> list[float]:
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
-def parse_int_axis(text: str) -> list[int]:
-    """Integer axis; list tokens are read exactly as decimals, not as floats.
+def _exact_int(value) -> int:
+    """A token or a float, read exactly as a decimal: an integer in float range."""
+    try:
+        v = Decimal(value)
+    except InvalidOperation as exc:
+        raise ValidationError(f"bad axis value {value!r}") from exc
+    if not v.is_finite() or not math.isfinite(float(v)) or v != v.to_integral_value():
+        raise ValidationError(f"expected integers, got {v}")
+    return int(v)
 
-    A value must be integral and within float range, as in every other axis.
+
+def parse_int_axis(text: str) -> list[int]:
+    """Integer axis; list tokens and linear range ends are read as decimals.
+
+    A linear range steps in integers, so its points stay in [start, stop]; a
+    geometric one takes parse_axis's floats.  A value must be integral and
+    within float range, as in every other axis.
     """
-    if ":" in text:
-        values = [Decimal(v) for v in parse_axis(text)]
-    else:
-        try:
-            values = [Decimal(tok) for tok in text.split(",") if tok.strip()]
-        except InvalidOperation as exc:
-            raise ValidationError(f"bad axis value in {text!r}") from exc
-    out = []
-    for v in values:
-        if (not v.is_finite() or not math.isfinite(float(v))
-                or v != v.to_integral_value()):
-            raise ValidationError(f"expected integers, got {v}")
-        out.append(int(v))
-    return out
+    if ":" not in text:
+        return [_exact_int(tok) for tok in text.split(",") if tok.strip()]
+    points = parse_axis(text)  # checks the range form and its count
+    parts = text.strip().split(":")
+    if len(parts) == 4:
+        return [_exact_int(x) for x in points]
+    start, stop = _exact_int(parts[0]), _exact_int(parts[1])
+    step, rest = divmod(stop - start, max(len(points) - 1, 1))
+    if rest:
+        raise ValidationError(
+            f"expected integers, got step {(stop - start) / (len(points) - 1)}")
+    return [start + i * step for i in range(len(points))]
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

@@ -21,9 +21,5 @@ class DomainError(ValueError):
     """Arguments lie outside the domain of an analytic expression."""
 
 
-class NoRootError(RuntimeError):
-    """No sign change found when bracketing a root."""
-
-
 class ValidationError(ValueError):
     """Scan plan or CLI input is malformed."""

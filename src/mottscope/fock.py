@@ -53,14 +53,14 @@ class FockBasis:
         return self._binom[first, s].sum(axis=1)
 
 
-def enumerate_basis(L: int, N: int, cap: int = DEFAULT_DIM_CAP) -> FockBasis:
+def enumerate_basis(L: int, N: int) -> FockBasis:
     """Build the full fixed-N basis in lexicographically decreasing order."""
     if L < 1 or N < 0:
         raise NotInBasisError(f"need L >= 1 and N >= 0, got L={L}, N={N}")
     dim = dimension(L, N)
-    if dim > cap:
-        raise BasisSizeError(
-            f"basis of (L={L}, N={N}) has dimension {dim}, above the cap {cap}")
+    if dim > DEFAULT_DIM_CAP:
+        raise BasisSizeError(f"basis of (L={L}, N={N}) has dimension {dim}, "
+                             f"above the cap {DEFAULT_DIM_CAP}")
     occ = np.zeros((dim, L), dtype=np.int64)
     row = np.zeros(L, dtype=np.int64)
     row[0] = N

@@ -85,40 +85,46 @@ def lambda_squared(nu: int, j_tilde: float) -> float:
     return max(0.0, -(a + 0.5 / j_tilde) / b)
 
 
-def selfconsistent_lambda(nu: int, j_tilde: float, n_max: int | None = None) -> float:
-    """Root of lambda = 2 J_tilde <a>_lambda on a site truncated at n_max bosons.
+def bisect_root(above, lo: float, hi: float) -> float:
+    """Root in (lo, hi] by bisection; above(x) says the root lies above x.
+
+    Halves until the bracket is 1e-15 of its upper end wide, or _BISECTIONS times.
+    """
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def selfconsistent_lambda(nu: int, j_tilde: float) -> float:
+    """Root of lambda = 2 J_tilde <a>_lambda on a site truncated at nu+10 bosons.
 
     On the Mott side, j_tilde <= critical_j_mf(nu), the root is 0.0: only
     the nu+-1 states enter at O(lambda^2), so the truncated site's onset is
     the closed form's.  Above it, f = 2 J_tilde <a> - lambda is positive for
-    small lambda and negative at 2 J_tilde sqrt(n_max), since <a> <
-    sqrt(n_max).  Bisection on that bracket, with <a> from the numpy eigh
-    ground state of the site matrix, stops once the bracket is 1e-15 of its
-    upper end wide, or after _BISECTIONS halvings.
+    small lambda and negative at 2 J_tilde sqrt(nu+10), since <a> <
+    sqrt(nu+10).  bisect_root narrows that bracket, with <a> from the numpy
+    eigh ground state of the site matrix.
     """
     if j_tilde <= 0:
         raise DomainError(f"j_tilde must be positive, got {j_tilde}")
-    if n_max is None:
-        n_max = nu + 10
-    if n_max < nu + 4:
-        raise DomainError(f"n_max={n_max} too small, need at least nu+4")
     if j_tilde <= critical_j_mf(nu):
         return 0.0
-    ns = np.arange(n_max + 1)
+    ns = np.arange(nu + 11)
     site = np.diag(0.5 * ns * (ns - 1.0) - mu_fixed_density(nu) * ns)
     root = np.sqrt(ns[1:].astype(float))
     hop = np.diag(root, 1) + np.diag(root, -1)
-    lo, hi = 0.0, 2.0 * j_tilde * math.sqrt(n_max)
-    for _ in range(_BISECTIONS):
-        lam = 0.5 * (lo + hi)
+
+    def above(lam):
         psi = np.linalg.eigh(site - lam * hop)[1][:, 0]
-        if 2.0 * j_tilde * float(root @ (psi[:-1] * psi[1:])) > lam:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+        return 2.0 * j_tilde * float(root @ (psi[:-1] * psi[1:])) > lam
+
+    return bisect_root(above, 0.0, 2.0 * j_tilde * math.sqrt(nu + 10))
 
 
 def condensate_lambda(nu: int, u_over_j: float,

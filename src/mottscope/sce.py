@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT_J_ER, LatticeSpec, ProbeSpec
-from .errors import DomainError, NoRootError
+from .errors import DomainError
+from .meanfield import bisect_root
 from .scatter import (CrossSectionRecord, elastic_kappa, form_factor,
                       lattice_channel_sum, per_angle)
 
@@ -164,35 +165,19 @@ def _gap_cubic(j_tilde: float, nu: int) -> float:
         + 2.0 * nu * (nu * nu + 2.0) * j_tilde**3
 
 
-def critical_j(nu: int, scan_step: float = 1e-4, scan_stop: float = 2.0,
-               tol: float = 1e-12) -> float:
-    """Smallest positive root of the thermodynamic-limit gap-closing cubic.
+def critical_j(nu: int) -> float:
+    """Smallest positive root of the thermodynamic-limit gap-closing cubic f.
 
-    A scan finds the first sign change and bisection narrows it.  At large
-    nu the two positive roots sit near 0.32/nu and 0.76/nu, so step and
-    tolerance shrink as 1e-3/nu once that is below scan_step: the scan then
-    lands hundreds of steps between the roots, and the root keeps about
-    1e-11 relative accuracy.  Up to nu = 10 the scan is scan_step as given.
+    In x = nu j, f = 1 - a1 x + a2 x^2 + a3 x^3 with coefficients of order 1
+    for any nu.  Its one positive turning point x*, taken free of cancellation
+    and overflow, is where f is least on x > 0.  f(0) = 1, and f(2/5) =
+    -0.152 - 0.48/nu + 0.416/nu^2 < 0 for nu >= 1, so f(x*) < 0 and the root
+    is the one sign change on (0, x*/nu].  bisect_root narrows that bracket
+    to about 1e-15 of the root.
     """
-    scale = min(1.0, 1e-3 / (nu * scan_step))
-    step, tol = scan_step * scale, tol * scale
-    prev = _gap_cubic(0.0, nu)
-    x = step
-    while x <= scan_stop:
-        cur = _gap_cubic(x, nu)
-        if cur == 0.0:
-            return x
-        if (prev > 0.0) != (cur > 0.0):
-            lo, hi = x - step, x
-            flo = prev
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fmid = _gap_cubic(mid, nu)
-                if (flo > 0.0) != (fmid > 0.0):
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            return 0.5 * (lo + hi)
-        prev = cur
-        x += step
-    raise NoRootError(f"gap cubic has no root in (0, {scan_stop}] for nu={nu}")
+    if nu < 1:
+        raise DomainError(f"gap cubic needs filling nu >= 1, got {nu}")
+    e = 1.0 / nu
+    a1, a2, a3 = 4.0 + 2.0 * e, 2.0 + 2.0 * e + e * e, 2.0 + 4.0 * e * e
+    x_star = a1 / (a2 + math.sqrt(a2 * a2 + 3.0 * a1 * a3))
+    return bisect_root(lambda j: _gap_cubic(j, nu) > 0.0, 0.0, x_star / nu)

@@ -8,6 +8,7 @@ on purpose, so a shared bug with the library code is unlikely.
 """
 import cmath
 import math
+from decimal import Decimal
 
 import numpy as np
 import scipy.sparse
@@ -314,3 +315,38 @@ def mp_selfconsistent_lambda(nu, j_tilde, n_max=None, dps=40):
     with mpmath.workdps(dps):
         return solve(mp_eigh, mpmath.sqrt, mpmath.mpf(start),
                      mpmath.mpf(10) ** (5 - dps))
+
+
+def gap_cubic(j, nu):
+    """Gap-closing cubic in any exact number type (int, Fraction, mpf)."""
+    return (1 - 2 * (2 * nu + 1) * j + (1 + 2 * nu * (nu + 1)) * j**2
+            + 2 * nu * (nu * nu + 2) * j**3)
+
+
+def mp_critical_j(nu, dps=50):
+    """Smallest positive root of the gap cubic, bisected in mpmath.
+
+    The bracket is (0, 2/(5 nu)]: the cubic is 1 at 0 and negative at
+    2/(5 nu) for nu >= 1 (test_gap_cubic_negative_at_two_fifths), and it
+    falls until its one positive turning point, so the smallest root is
+    the first sign change.  Halves to 10^(5-dps) of the upper end.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(2) / (5 * nu)
+        while hi - lo > mpmath.mpf(10) ** (5 - dps) * hi:
+            mid = (lo + hi) / 2
+            if gap_cubic(mid, mpmath.mpf(nu)) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def cell_12_digits(x):
+    """An mpmath number as the package prints a float: 12 digits, 'e+NN'."""
+    import mpmath
+
+    mantissa, exponent = format(Decimal(mpmath.nstr(x, 40)), ".11e").split("e")
+    return f"{mantissa}e{int(exponent):+03d}"

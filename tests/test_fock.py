@@ -63,7 +63,6 @@ def test_rank_rows_matches_scalar_rank():
 def test_dimension_cap_enforced():
     with pytest.raises(BasisSizeError):
         enumerate_basis(12, 12)           # 1352078 states, above the cap
-    assert len(enumerate_basis(12, 12, cap=1_400_000)) == 1352078
 
 
 def test_enumerate_rejects_bad_shape():

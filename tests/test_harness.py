@@ -26,6 +26,8 @@ from mottscope.meanfield import condensate_lambda, inelastic_cs_mf
 from mottscope.scatter import inelastic_cs_exact
 from mottscope.sce import inelastic_cs_sce, large_l_cs
 
+from oracles import cell_12_digits, mp_critical_j
+
 
 def small_plan(**overrides) -> ScanPlan:
     base = dict(sites=[3], fillings=[1], u_over_j=[5.0], thetas=[0.99],
@@ -299,6 +301,7 @@ def test_parse_axis_forms():
     assert parse_axis("1:4:7") == pytest.approx([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
     assert parse_axis("1:100:3:log") == pytest.approx([1.0, 10.0, 100.0])
     assert parse_int_axis("4,8") == [4, 8]
+    assert parse_int_axis("8:2:4") == [8, 6, 4, 2]
     for bad in ("1:2", "1:2:3:geom", "a,b", "1:4:0", "-3:3:2x", "-3:3:23,0",
                 "a:3:2"):
         with pytest.raises(ValidationError):
@@ -614,7 +617,7 @@ def test_cli_critical_at_huge_filling(capsys, no_cache_env):
     assert main(["critical", "--filling", "100000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    assert lines[1].startswith("100000,3.15446789887e-06,3.17010675670e+05,"
+    assert lines[1].startswith("100000,3.15446789884e-06,3.17010675673e+05,"
                                "1.24999375004e-06,")
 
 
@@ -634,14 +637,39 @@ def test_cli_critical_at_extreme_fillings(capsys, no_cache_env):
 
 def test_cli_reads_integer_fillings_exactly(capsys, no_cache_env):
     # 2^53 + 1 and 1e50 have no float of their own; the integer axis reads
-    # its tokens as decimals, so the row names the filling that was asked for
-    for filling, nu in (("9007199254740993", 2**53 + 1), ("1e50", 10**50)):
+    # its tokens and range ends as decimals and steps a range in integers,
+    # so each row names a filling that was asked for, inside the range
+    for filling, nus in (("9007199254740993", [2**53 + 1]), ("1e50", [10**50]),
+                         ("9007199254740993:9007199254740995:3",
+                          [2**53 + 1, 2**53 + 2, 2**53 + 3])):
         assert main(["critical", "--filling", filling]) == 0
-        assert capsys.readouterr().out.splitlines()[1].split(",")[0] == str(nu)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(nu) for nu in nus]
     assert parse_int_axis("9007199254740993,1e50,2E3") == [2**53 + 1, 10**50, 2000]
     for bad in ("1.0000000000000000001", "1e999999999", "sNaN", "4,x"):
         with pytest.raises(ValidationError):
             parse_int_axis(bad)
+
+
+@pytest.mark.parametrize("filling", ["1:2:3", "9007199254740993:9007199254740996:3"])
+def test_cli_rejects_integer_range_with_fractional_step(filling, capsys,
+                                                        no_cache_env):
+    assert main(["critical", "--filling", filling]) == 2
+    captured = capsys.readouterr()
+    assert "expected integers" in captured.err and captured.out == ""
+
+
+def test_cli_critical_matches_50_digit_root(capsys, no_cache_env):
+    # every sce_jc and sce_uc_over_j cell is the 12-digit rounding of the
+    # gap cubic's smallest root, bisected in 50-digit mpmath
+    fillings = list(range(1, 61)) + [10**k for k in range(2, 101)]
+    assert main(["critical", "--filling", ",".join(map(str, fillings))]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == fillings
+    for nu, row in zip(fillings, rows):
+        root = mp_critical_j(nu)
+        assert row[1:3] == [cell_12_digits(root), cell_12_digits(1 / root)], nu
+    assert rows[1][2] == "8.00000000000e+00"  # nu = 2: U_c/J is 8 exactly
 
 
 def test_closed_probe_warns_for_exact_and_sce(capsys, no_cache_env):
@@ -656,8 +684,9 @@ def test_closed_probe_warns_for_exact_and_sce(capsys, no_cache_env):
 
 def test_scipy_loads_only_where_it_solves(tmp_path):
     # scipy serves only the block eigensolve; importing the CLI, a scan
-    # whose spectra all come from the cache, and a superfluid mean-field
-    # scan with the self-consistent lambda never load it
+    # whose spectra all come from the cache, a superfluid mean-field scan
+    # with the self-consistent lambda, an sce scan and the critical table
+    # never load it
     env = dict(os.environ, PYTHONPATH=str(Path(mottscope.__file__).parents[1]))
     env.pop("MOTTSCOPE_CACHE", None)
     scan = ["scan", "--sites", "3,4", "--u-over-j", "5,40",
@@ -671,7 +700,11 @@ def test_scipy_loads_only_where_it_solves(tmp_path):
         "assert 'scipy' not in sys.modules, 'warm scan'\n"
         "assert cli.main(['mf', '--sites', '4', '--u-over-j', '8',\n"
         "                 '--lambda-source', 'iterative']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'iterative mf'\n")
+        "assert 'scipy' not in sys.modules, 'iterative mf'\n"
+        "assert cli.main(['sce', '--sites', '4', '--u-over-j', '8']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'sce'\n"
+        "assert cli.main(['critical', '--filling', '1,2,3']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'critical'\n")
     result = subprocess.run([sys.executable, "-c", code, *scan], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from mottscope.config import LatticeSpec, ProbeSpec
-from mottscope.errors import DomainError, NoRootError
+from mottscope.errors import DomainError
 from mottscope.fock import enumerate_basis
 from mottscope.scatter import elastic_kappa, form_factor, interference
 from mottscope.sce import (critical_j, density_matrix_element,
@@ -15,8 +16,8 @@ from mottscope.sce import (critical_j, density_matrix_element,
                            ph_momentum_grids, tunneling_phase)
 from mottscope.spectrum import build_hamiltonian
 
-from oracles import (group_by_first, pair_manifold_pt, ph_state_vector,
-                     sce_grid_sum)
+from oracles import (gap_cubic, group_by_first, mp_critical_j, pair_manifold_pt,
+                     ph_state_vector, sce_grid_sum)
 
 PROBE = ProbeSpec(Ein_Er=2.0, theta=0.99)
 
@@ -353,14 +354,36 @@ def test_critical_couplings():
     assert critical_j(2) == pytest.approx(0.125, abs=1e-10)
     # the critical coupling grows shallower with filling
     assert critical_j(2) < critical_j(1)
-    with pytest.raises(NoRootError):
-        critical_j(1, scan_stop=0.1)
+
+
+def test_gap_cubic_negative_at_two_fifths():
+    # nu^2 f(2/(5 nu)) is a quadratic in nu, so agreeing at three fillings
+    # proves f(2/(5 nu)) = -0.152 - 0.48/nu + 0.416/nu^2 for every nu; that
+    # is convex in 1/nu and negative at 1/nu = 0 and 1, so critical_j's
+    # bracket (0, j*] holds a sign change for every filling nu >= 1
+    def closed(nu):
+        return (Fraction(-152, 1000) - Fraction(48, 100) / nu
+                + Fraction(416, 1000) / nu**2)
+
+    for nu in (1, 2, 3, 10**100):
+        assert gap_cubic(Fraction(2, 5 * nu), nu) == closed(nu)
+    assert Fraction(-152, 1000) < 0 and Fraction(-152 - 480 + 416, 1000) < 0
+
+
+def test_critical_j_domain():
+    # the gap cubic describes fillings nu >= 1 only
+    for nu in (0, -1):
+        with pytest.raises(DomainError, match="nu >= 1"):
+            critical_j(nu)
+    # the turning point is solved in x = nu j, so nu^2 never overflows
+    nu = 10**100
+    assert critical_j(nu) == pytest.approx(float(mp_critical_j(nu)), rel=1e-15)
 
 
 @pytest.mark.parametrize("nu", [10**3, 10**5])
 def test_critical_j_at_large_filling(nu):
-    # both positive roots sit within 0.5/nu of each other, far inside one
-    # 1e-4 step at nu = 1e5; the scan must still find the smaller one
+    # both positive roots sit within 0.5/nu of each other; the bracket
+    # ends at the turning point between them, so it holds only the smaller
     roots = np.roots([2.0 * nu * (nu * nu + 2.0), 1.0 + 2.0 * nu * (nu + 1),
                       -2.0 * (2 * nu + 1), 1.0])
     smallest = min(r.real for r in roots if np.isreal(r) and r.real > 0.0)
