@@ -55,6 +55,8 @@ def parse_axis(text: str) -> list[float]:
         raise ValidationError(f"bad axis value in {text!r}: {exc}") from exc
     if count < 1:
         raise ValidationError(f"range count must be >= 1 in {text!r}")
+    if not math.isfinite(stop - start):
+        raise ValidationError(f"range ends and their span must be finite in {text!r}")
     if len(parts) == 4:
         if start <= 0 or stop <= 0:
             raise ValidationError("log range needs positive endpoints")

@@ -10,9 +10,7 @@ rest of the scan, and the disk cache stores exactly that.
 
 Rows are computed unit by unit: for each (L, nu, U/J) unit, each method
 makes one call per E_in over the whole theta axis, and the mean-field
-lambda is resolved once per (nu, U/J).  scipy is loaded only by the one
-solver that needs it, the block eigensolve, so a scan served from the
-cache, and every sce or mf scan, runs without it.
+lambda is resolved once per (nu, U/J).
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ A single site sees the Hamiltonian h = eps(n) - lambda (a + a^dag) in
 units of U, with lambda determined self-consistently.  Near the Mott
 boundary lambda is small and a fourth-order expansion in lambda gives it
 in closed form; a bracketed root of the self-consistency condition on a
-truncated site basis provides the independent cross-check.  Both need
-numpy only; scipy serves one solver in the package, the block eigensolve
-in spectrum.  The chemical potential only enters here, through the
-fixed-density value mu_FD(nu) = sqrt(nu (nu+1)) - 1.
+truncated site basis provides the independent cross-check.  The chemical
+potential only enters here, through the fixed-density value
+mu_FD(nu) = sqrt(nu (nu+1)) - 1.
 """
 
 from __future__ import annotations

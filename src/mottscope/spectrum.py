@@ -297,15 +297,14 @@ class Spectrum:
 def _solve(matrix: np.ndarray, k: int, vectors: bool = True):
     """Real symmetric eigensolve of one block or half-block.
 
-    scipy is imported here, so a scan served from the cache never loads it.
+    numpy's eigh and eigvalsh both call LAPACK's divide-and-conquer syevd
+    on the lower triangle.
     """
-    import scipy.linalg
-
     try:
-        return scipy.linalg.eigh(matrix, eigvals_only=not vectors,
-                                 driver="evd", check_finite=False,
-                                 overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
+        if vectors:
+            return np.linalg.eigh(matrix)
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"block eigensolver failed at k={k}: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,32 @@ def test_run_scan_spectrum_failure_hits_dependent_rows_only(tmp_path):
         else:
             assert row["error"] == ""
             assert row["value"] != ""
+
+
+def test_cli_eigensolver_failure_fills_exact_error_cells(monkeypatch, capsys,
+                                                        no_cache_env):
+    # a failed block solve is a row error of every exact row of its unit;
+    # the sce rows of the same scan print as they do without the failure
+    argv = ["scan", "--sites", "3", "--u-over-j", "5,40", "--ein", "1,2",
+            "--methods", "exact,sce"]
+    assert main(argv) == 0
+    healthy = capsys.readouterr().out.splitlines()
+
+    def eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == healthy[0] and len(lines) == len(healthy) == 9
+    for line, before in zip(lines[1:], healthy[1:]):
+        cells = dict(zip(CSV_COLUMNS, line.split(",")))
+        if cells["method"] == "exact":
+            assert cells["error"] == ("ConvergenceError: block eigensolver "
+                                      "failed at k=0: Eigenvalues did not converge")
+            assert cells["value"] == cells["channel_count"] == cells["warning"] == ""
+        else:
+            assert line == before
 
 
 def test_compare_basic_and_undefined():
@@ -397,6 +424,28 @@ def test_cli_rejects_malformed_range(theta, capsys, no_cache_env):
     assert main(["sce", "--sites", "3", f"--theta={theta}"]) == 2
     captured = capsys.readouterr()
     assert f"bad axis value in {theta!r}" in captured.err and captured.out == ""
+
+
+def subprocess_env() -> dict:
+    """Environment for a child python that imports this mottscope, uncached."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mottscope.__file__).parents[1]))
+    env.pop("MOTTSCOPE_CACHE", None)
+    return env
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["sce", "--sites", "3", "--theta=1e999:1:2"], "1e999:1:2"),
+    (["critical", "--filling=1e999:1:2"], "1e999:1:2"),
+    (["sce", "--sites", "3", "--theta=-1e308:1e308:3"], "-1e308:1e308:3"),
+])
+def test_cli_rejects_non_finite_range_quietly(argv, text):
+    # run outside pytest's warning filter: numpy must not be handed the
+    # range, so stderr holds the one message and no RuntimeWarning
+    result = subprocess.run([sys.executable, "-m", "mottscope.cli", *argv],
+                            env=subprocess_env(), capture_output=True, text=True)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (
+        f"mottscope: range ends and their span must be finite in {text!r}\n")
 
 
 def test_cli_rejects_overflowing_probe(capsys, no_cache_env):
@@ -682,13 +731,12 @@ def test_closed_probe_warns_for_exact_and_sce(capsys, no_cache_env):
                       "sce,1,0.00000000000e+00,0,no_open_channels,")]
 
 
-def test_scipy_loads_only_where_it_solves(tmp_path):
-    # scipy serves only the block eigensolve; importing the CLI, a scan
-    # whose spectra all come from the cache, a superfluid mean-field scan
-    # with the self-consistent lambda, an sce scan and the critical table
-    # never load it
-    env = dict(os.environ, PYTHONPATH=str(Path(mottscope.__file__).parents[1]))
-    env.pop("MOTTSCOPE_CACHE", None)
+def test_scipy_never_loads(tmp_path):
+    # the package solves with numpy alone: importing the CLI, a scan whose
+    # spectra all come from the cache, a cold exact scan, a comparison, a
+    # superfluid mean-field scan with the self-consistent lambda, an sce
+    # scan and the critical table never load scipy
+    env = subprocess_env()
     scan = ["scan", "--sites", "3,4", "--u-over-j", "5,40",
             "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "rows.csv")]
     subprocess.run([sys.executable, "-m", "mottscope.cli", *scan], env=env,
@@ -698,6 +746,11 @@ def test_scipy_loads_only_where_it_solves(tmp_path):
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
         "assert 'scipy' not in sys.modules, 'warm scan'\n"
+        "assert cli.main(['scan', '--sites', '3,4', '--u-over-j', '7',\n"
+        "                 '--methods', 'exact,sce']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'cold exact scan'\n"
+        "assert cli.main(['compare', '--sites', '4', '--u-over-j', '8']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'compare'\n"
         "assert cli.main(['mf', '--sites', '4', '--u-over-j', '8',\n"
         "                 '--lambda-source', 'iterative']) == 0\n"
         "assert 'scipy' not in sys.modules, 'iterative mf'\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mottscope.config import LatticeSpec
+from mottscope.errors import ConvergenceError
 from mottscope.fock import enumerate_basis
 from mottscope.spectrum import (build_hamiltonian, cache_key, diagonalize,
                                 ground_matrix_elements, lattice_bonds,
@@ -191,6 +192,26 @@ def test_diagonalize_properties():
     table = spec.channel_table()
     assert table.blocks == () and table.orbits is None
     assert np.array_equal(table.momentum, spec.momentum)
+
+
+def test_eigensolver_failure_names_the_block(monkeypatch):
+    # L = 4 solves k = 0 (even half with vectors, odd half without), then
+    # k = 1: the second eigh call is the k = 1 block
+    _, _, ham = build(4, 1, 6.0)
+    solved = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(matrix):
+        solved.append(matrix.shape)
+        if len(solved) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(ConvergenceError,
+                       match=r"^block eigensolver failed at k=1: Eigenvalues"):
+        diagonalize(ham)
+    assert len(solved) == 2
 
 
 def test_ground_matrix_elements_sum_rules():
