@@ -96,6 +96,16 @@ def parse_int_axis(text: str) -> list[int]:
     return [start + i * step for i in range(len(points))]
 
 
+COMMANDS = {
+    "exact": "exact-diagonalization inelastic cross section",
+    "sce": "strong-coupling inelastic cross section",
+    "mf": "mean-field inelastic cross section",
+    "scan": "multi-method parameter scan",
+    "compare": "exact vs strong-coupling relative difference",
+    "critical": "critical couplings per filling",
+}
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     # Defaults stay None so config-file values can be told apart from flags.
     sub.add_argument("--sites", help="lattice sizes, list or range")
@@ -123,13 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matter-wave scattering cross sections of a 1-D lattice "
                     "Bose gas: exact, strong-coupling, and mean-field methods.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("exact", "exact-diagonalization inelastic cross section"),
-            ("sce", "strong-coupling inelastic cross section"),
-            ("mf", "mean-field inelastic cross section"),
-            ("scan", "multi-method parameter scan"),
-            ("compare", "exact vs strong-coupling relative difference"),
-            ("critical", "critical couplings per filling")):
+    for name, helptext in COMMANDS.items():
         sub = subs.add_parser(name, help=helptext)
         if name == "critical":
             sub.add_argument("--filling", help="integer fillings, list")
@@ -196,10 +200,21 @@ def _emit(rows: list[dict], args: argparse.Namespace, config: dict,
         sys.stdout.write(text)
 
 
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values; every key must name some subcommand's flag."""
+    config = read_config_file(path)
+    flags = {key for name in COMMANDS for key in vars(parser.parse_args([name]))}
+    unknown = sorted(set(config) - flags - {"command"})
+    if unknown:
+        raise RangeError(f"unknown key {unknown[0]!r}")
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = read_config_file(args.config) if args.config else {}
+        config = _read_config(parser, args.config) if args.config else {}
     except (OSError, RangeError) as exc:
         print(f"mottscope: config file: {exc}", file=sys.stderr)
         return 2

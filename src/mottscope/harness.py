@@ -5,8 +5,8 @@ in that nesting order and emits one row per point.  The momentum-block
 diagonalization is the only expensive step, so the worker pool
 parallelizes over (L, N, U/J) spectrum units while rows are assembled
 serially in grid order; output is byte-identical for any worker count.
-A unit keeps only its channel table and weights, O(dim) numbers, for the
-rest of the scan, and the disk cache stores exactly that.
+A unit keeps only its channel table, O(dim) numbers, for the rest of the
+scan, and the disk cache stores exactly that.
 
 Rows are computed unit by unit: for each (L, nu, U/J) unit, each method
 makes one call per E_in over the whole theta axis, and the mean-field
@@ -142,33 +142,28 @@ def validate_plan(plan: ScanPlan) -> None:
 
 
 def _spectrum_unit(plan: ScanPlan, L: int, nu: int, u: float):
-    """Channel table and weights of one (L, N, U/J) sector, honoring the cache.
+    """Channel table of one (L, N, U/J) sector, honoring the cache.
 
-    A cache entry is used only when its checksum holds and its header names
-    this sector; anything else is recomputed and overwritten.  A hit needs
-    no basis and no eigenvectors.
+    load_spectrum accepts an entry only when its checksum holds and its
+    header names this sector; anything else is recomputed and overwritten.
+    A hit needs no basis and no eigenvectors.
     """
     N = nu * L
     key = cache_key(u)
     path = None
     if plan.cache_dir:
         path = spectrum_cache_path(plan.cache_dir, L, N, key)
-        if os.path.exists(path):
-            try:
-                cached_L, cached_N, cached_key, spec, weights = load_spectrum(path)
-            except (ValueError, OSError):
-                pass  # unreadable or unverified entry: recompute and overwrite
-            else:
-                if (cached_L, cached_N, cached_key) == (L, N, key):
-                    return spec, weights
+        try:
+            return load_spectrum(path, L, N, key)
+        except (ValueError, OSError):
+            pass  # missing, unreadable or mislabelled entry: recompute and overwrite
     basis = enumerate_basis(L, N)
-    spec = diagonalize(build_hamiltonian(basis, u))
-    weights = ground_matrix_elements(spec, basis)
-    spec = spec.channel_table()
+    h = build_hamiltonian(basis, u)
+    spec = ground_matrix_elements(diagonalize(h), h.orbits, basis)
     if path:
         os.makedirs(plan.cache_dir, exist_ok=True)
-        save_spectrum(path, L, N, key, spec, weights)
-    return spec, weights
+        save_spectrum(path, L, N, key, spec)
+    return spec
 
 
 def _memo(table: dict, key, compute):
@@ -196,7 +191,7 @@ def _evaluate(plan: ScanPlan, spectra: dict, lambdas: dict, lattice: LatticeSpec
             entry = spectra[(lattice.L, lattice.nu, cache_key(u))]
             if isinstance(entry, str):
                 return entry
-            return inelastic_cs_exact(*entry, lattice, probe)
+            return inelastic_cs_exact(entry, lattice, probe)
         if method == "sce":
             return inelastic_cs_sce(lattice, probe, u, gap_order=plan.gap_order)
         if method == "sce_largeL":

@@ -160,9 +160,9 @@ def lattice_channel_sum(excitation_er, weights, momentum, lattice: LatticeSpec,
     return CrossSectionRecord(per_angle(probe, values), count)
 
 
-def inelastic_cs_exact(spectrum, weights: np.ndarray, lattice: LatticeSpec,
+def inelastic_cs_exact(spectrum, lattice: LatticeSpec,
                        probe: ProbeSpec) -> CrossSectionRecord:
     """The lattice channel sum over the excited eigenstates, entries 1... of the table."""
     energies = spectrum.energies_J * lattice.J_Er
-    return lattice_channel_sum(energies[1:] - energies[0], weights[1:],
+    return lattice_channel_sum(energies[1:] - energies[0], spectrum.weights[1:],
                                spectrum.momentum[1:], lattice, probe)

@@ -18,9 +18,9 @@ K = pi, R itself commutes with the block and the frame splits it into an
 even and an odd half.  The ground state and n_0|0> are R-even, so the odd
 halves carry no weight and are solved for eigenvalues only.
 
-The result is a channel table: every eigenstate's energy and momentum, plus
-one weight |<n|n_0|0>|^2 per eigenstate.  That table is all the cross
-sections need, and all the disk cache stores.
+The result is a channel table: every eigenstate's energy, momentum and
+weight |<n|n_0|0>|^2.  That table is all the cross sections need, and all
+the disk cache stores.
 """
 
 from __future__ import annotations
@@ -253,45 +253,38 @@ def build_hamiltonian(basis: FockBasis, u_over_j: float) -> HamiltonianMatrix:
 
 @dataclass(frozen=True)
 class Eigenblock:
-    """Eigenpairs of one Bloch block and their rows in the channel table.
+    """Eigenpairs of one solved Bloch block 0 <= k <= L/2.
 
-    vectors holds the real eigenvectors in frame coordinates.  At K = 0 and
-    K = pi they span the even half only, the odd half being solved for its
-    eigenvalues alone.  slots has one row for K and, when -K is a different
-    momentum, a second row for the reflected copies; its leading columns
-    belong to the states in vectors, the rest to the odd half.
+    energies lists the whole block.  vectors holds the real eigenvectors in
+    frame coordinates, one column per leading entry of energies: at K = 0
+    and K = pi they span the even half only, the odd half being solved for
+    its eigenvalues alone.
     """
 
     k: int
     frame: Frame
+    energies: np.ndarray
     vectors: np.ndarray
-    slots: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
-    """Channel table of one sector: every eigenstate's energy and momentum.
+    """Channel table of one sector: every eigenstate's energy, momentum and weight.
 
     Energies ascend, so the ground state is entry 0.  Entry n has lattice
-    momentum K = 2 pi momentum[n] / L.  energies_J holds the raw eigenvalues
-    in units of J, the one unit of the table, so cached and freshly computed
-    tables agree bit for bit.  orbits and blocks hold the Bloch eigenvectors
-    that ground_matrix_elements needs; a table read from the cache has
-    neither.
+    momentum K = 2 pi momentum[n] / L and weight w_n = |<n|n_0|0>|^2.
+    energies_J holds the raw eigenvalues in units of J, the one unit of the
+    table, so cached and freshly computed tables agree bit for bit.  Every
+    column is read-only.
     """
 
     energies_J: np.ndarray
     momentum: np.ndarray
-    orbits: Orbits | None = None
-    blocks: tuple = ()
+    weights: np.ndarray
 
     def __post_init__(self):
-        self.energies_J.flags.writeable = False
-        self.momentum.flags.writeable = False
-
-    def channel_table(self) -> Spectrum:
-        """The same table without eigenvectors, as the cache stores it."""
-        return Spectrum(self.energies_J, self.momentum)
+        for column in (self.energies_J, self.momentum, self.weights):
+            column.flags.writeable = False
 
 
 def _solve(matrix: np.ndarray, k: int, vectors: bool = True):
@@ -308,77 +301,69 @@ def _solve(matrix: np.ndarray, k: int, vectors: bool = True):
         raise ConvergenceError(f"block eigensolver failed at k={k}: {exc}") from exc
 
 
-def diagonalize(h: HamiltonianMatrix) -> Spectrum:
-    """All eigenvalues, one real solve per Bloch block with 0 <= k <= L/2.
+def diagonalize(h: HamiltonianMatrix) -> list[Eigenblock]:
+    """Every Bloch block with 0 <= k <= L/2, solved completely, k ascending.
 
     The K = 0 and K = pi blocks are solved as an even half with
     eigenvectors and an odd half without.
     """
     L = h.L
-    solved, energies, momenta = [], [], []
+    blocks = []
     for k in range(L // 2 + 1):
         frame, block = h.frame_block(k)
         if not frame.orbits.size:
             continue
         if 2 * k % L == 0:
             even = frame.even
-            energies_k, vectors = _solve(block[:even, :even], k)
-            energies_k = np.concatenate(
-                [energies_k, _solve(block[even:, even:], k, vectors=False)])
+            energies, vectors = _solve(block[:even, :even], k)
+            energies = np.concatenate(
+                [energies, _solve(block[even:, even:], k, vectors=False)])
         else:
-            energies_k, vectors = _solve(block, k)
-        partners = sorted({k, -k % L})
-        solved.append((k, frame, vectors, len(partners)))
-        for q in partners:
-            energies.append(energies_k)
-            momenta.append(np.full(energies_k.size, q))
-    energies_j = np.concatenate(energies)
-    # k = 0 comes first and its even half leads it, so the stable sort puts
-    # that half's lowest state, the unique ground state, at entry 0
-    order = np.argsort(energies_j, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    blocks, start = [], 0
-    for k, frame, vectors, copies in solved:
-        n = frame.orbits.size
-        slots = slot[start:start + copies * n].reshape(copies, n)
-        blocks.append(Eigenblock(k, frame, vectors, slots))
-        start += copies * n
-    return Spectrum(
-        energies_J=energies_j[order],
-        momentum=np.concatenate(momenta)[order],
-        orbits=h.orbits,
-        blocks=tuple(blocks),
-    )
+            energies, vectors = _solve(block, k)
+        blocks.append(Eigenblock(k, frame, energies, vectors))
+    return blocks
 
 
-def ground_matrix_elements(spectrum: Spectrum, basis: FockBasis) -> np.ndarray:
-    """Weight w_n = |<n|n_0|0>|^2 of every eigenstate, in table order.
+def ground_matrix_elements(blocks: list[Eigenblock], orbits: Orbits,
+                           basis: FockBasis) -> Spectrum:
+    """The channel table of the solved blocks, with w_n = |<n|n_0|0>|^2.
 
     For an eigenstate of momentum K, <n|n_j|0> = e^{-iKj} <n|n_0|0>, so one
     weight per eigenstate carries the whole site-resolved table.  The ground
     state is the lowest state of the k = 0 even half, whose frame spans
     every orbit; the other k = 0 states have weight exactly 0.  n_0|0> is
     real and R-even, so its frame coordinates are real and the odd halves
-    at K = 0 and K = pi have weight exactly 0.
+    at K = 0 and K = pi have weight exactly 0.  A block with -K != K enters
+    the table twice, at K and at -K.
     """
-    orb = spectrum.orbits
-    zero = spectrum.blocks[0]
+    L = basis.L
+    zero = blocks[0]
     ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0]).real
     occ0 = basis.occ[:, 0]
-    weights = np.zeros(spectrum.energies_J.size)
-    for block in spectrum.blocks:
-        phase = _bloch_phase(block.k, orb.shift, basis.L)
-        fourier = np.zeros(orb.size.size, dtype=phase.dtype)
-        np.add.at(fourier, orb.index, phase * occ0)
+    energies, momenta, weights = [], [], []
+    for block in blocks:
+        phase = _bloch_phase(block.k, orbits.shift, L)
+        fourier = np.zeros(orbits.size.size, dtype=phase.dtype)
+        np.add.at(fourier, orbits.index, phase * occ0)
         cols = block.frame.orbits
-        rhs = block.frame.coordinates(ground[cols] * fourier[cols] / orb.size[cols])
+        rhs = block.frame.coordinates(ground[cols] * fourier[cols] / orbits.size[cols])
         amplitude = block.vectors.T @ rhs[:block.vectors.shape[0]]
         if block.k == 0:
             # <n|n_j|0> is the same on every site and sums to <n|N|0> = 0
             amplitude[1:] = 0.0
-        weights[block.slots[:, :amplitude.size]] = amplitude ** 2
-    return weights
+        w = np.zeros(block.energies.size)
+        w[:amplitude.size] = amplitude ** 2
+        for q in sorted({block.k, -block.k % L}):
+            energies.append(block.energies)
+            momenta.append(np.full(w.size, q))
+            weights.append(w)
+    energies_j = np.concatenate(energies)
+    # k = 0 comes first and its even half leads it, so the stable sort puts
+    # that half's lowest state, the unique ground state, at entry 0
+    order = np.argsort(energies_j, kind="stable")
+    return Spectrum(energies_J=energies_j[order],
+                    momentum=np.concatenate(momenta)[order],
+                    weights=np.concatenate(weights)[order])
 
 
 def cache_key(u_over_j: float) -> str:
@@ -390,8 +375,7 @@ def spectrum_cache_path(cache_dir: str, L: int, N: int, key: str) -> str:
     return os.path.join(cache_dir, f"L{L}_N{N}_U{key}.spec")
 
 
-def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum,
-                  weights: np.ndarray) -> None:
+def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum) -> None:
     """Write the channel table as little-endian data behind a checked header.
 
     Layout: magic, (L, N, table length, key length), key, energies in units
@@ -404,7 +388,7 @@ def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum,
         _CACHE_HEADER.pack(L, N, spectrum.energies_J.size, len(key_bytes)),
         key_bytes,
         spectrum.energies_J.astype("<f8").tobytes(),
-        np.asarray(weights).astype("<f8").tobytes(),
+        spectrum.weights.astype("<f8").tobytes(),
         spectrum.momentum.astype("<u4").tobytes(),
     ])
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -413,12 +397,12 @@ def save_spectrum(path: str, L: int, N: int, key: str, spectrum: Spectrum,
     os.replace(tmp, path)
 
 
-def load_spectrum(path: str) -> tuple[int, int, str, Spectrum, np.ndarray]:
-    """Read a cached channel table back as (L, N, key, spectrum, weights).
+def load_spectrum(path: str, L: int, N: int, key: str) -> Spectrum:
+    """Read back the cached channel table of sector (L, N, key).
 
-    Raises ValueError for any file that is not in this format or fails its
-    checksum, truncation included, so callers can treat a damaged cache
-    entry uniformly.
+    Raises ValueError for any file that is not in this format, fails its
+    checksum (truncation included) or whose header names another sector,
+    so callers can treat a damaged or mislabelled cache entry uniformly.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -428,15 +412,14 @@ def load_spectrum(path: str) -> tuple[int, int, str, Spectrum, np.ndarray]:
     if (len(body) < _CACHE_HEADER.size or len(crc) != _CACHE_CRC.size
             or _CACHE_CRC.unpack(crc)[0] != zlib.crc32(body)):
         raise ValueError(f"{path}: corrupt spectrum cache file")
-    L, N, count, keylen = _CACHE_HEADER.unpack_from(body)
+    cached_L, cached_N, count, keylen = _CACHE_HEADER.unpack_from(body)
     start = _CACHE_HEADER.size + keylen
     if len(body) != start + 20 * count:
         raise ValueError(f"{path}: corrupt spectrum cache file")
-    try:
-        key = body[_CACHE_HEADER.size:start].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: corrupt spectrum cache file") from exc
-    energies_j = np.frombuffer(body, "<f8", count, start).astype(float)
-    weights = np.frombuffer(body, "<f8", count, start + 8 * count).astype(float)
-    momentum = np.frombuffer(body, "<u4", count, start + 16 * count).astype(np.int64)
-    return int(L), int(N), key, Spectrum(energies_j, momentum), weights
+    label = (cached_L, cached_N, body[_CACHE_HEADER.size:start])
+    if label != (L, N, key.encode("ascii")):
+        raise ValueError(f"{path}: cache entry is for another sector")
+    return Spectrum(
+        energies_J=np.frombuffer(body, "<f8", count, start).astype(float),
+        momentum=np.frombuffer(body, "<u4", count, start + 16 * count).astype(np.int64),
+        weights=np.frombuffer(body, "<f8", count, start + 8 * count).astype(float))

@@ -7,12 +7,12 @@ from mottscope.spectrum import build_hamiltonian, diagonalize, ground_matrix_ele
 
 @pytest.fixture(scope="session")
 def sector_factory():
-    """Memoized (lattice, basis, channel table, weights) per sector.
+    """Memoized (lattice, basis, channel table) per sector.
 
     Diagonalizations dominate the suite runtime; sharing them across test
     modules keeps the whole run tractable without hidden state, since every
     returned object is read-only.  Like a scan, the memo keeps the channel
-    table without its eigenvectors.
+    table, weights included, and drops the solved blocks' eigenvectors.
     """
     cache = {}
 
@@ -22,9 +22,8 @@ def sector_factory():
             lattice = LatticeSpec(L=L, nu=nu)
             basis = enumerate_basis(L, lattice.N)
             ham = build_hamiltonian(basis, float(u_over_j))
-            spectrum = diagonalize(ham)
-            cache[key] = (lattice, basis, spectrum.channel_table(),
-                          ground_matrix_elements(spectrum, basis))
+            cache[key] = (lattice, basis, ground_matrix_elements(
+                diagonalize(ham), ham.orbits, basis))
         return cache[key]
 
     return get

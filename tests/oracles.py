@@ -128,10 +128,10 @@ def dense_inelastic_cs(energies_j, table, J_Er, V0_Er, Ein_Er, theta,
     return float(value), int(idx.size)
 
 
-def elastic_cs_exact(spectrum, weights, lattice, probe):
+def elastic_cs_exact(spectrum, lattice, probe):
     """Ground-state channel of a channel table, at the elastic momentum transfer."""
     kappa_el = elastic_kappa(probe)
-    value = float(weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
+    value = float(spectrum.weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
                   * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
     return CrossSectionRecord(value, 1)
 

@@ -42,7 +42,7 @@ def test_01_basis_enumeration_size_and_speed():
 
 
 def test_02_spectral_span_anchor(mott_anchor):
-    lattice, _, spectrum, _ = mott_anchor
+    lattice, _, spectrum = mott_anchor
     span = float(spectrum.energies_J.max() - spectrum.energies_J.min()) * lattice.J_Er
     print(f"measured: max(E_n - E_0) = {span:.6f} E_r (want 1.84 +/- 0.01)")
     assert span == pytest.approx(1.84, abs=0.01)
@@ -52,8 +52,8 @@ EIN_TABLE = [(2.73, 100.0), (0.6825, 88.2), (0.273, 25.3), (0.06825, 0.4)]
 
 
 def _open_percentage(mott_anchor, ein):
-    lattice, _, spectrum, me = mott_anchor
-    rec = inelastic_cs_exact(spectrum, me, lattice,
+    lattice, _, spectrum = mott_anchor
+    rec = inelastic_cs_exact(spectrum, lattice,
                              ProbeSpec(Ein_Er=ein, theta=0.99))
     return 100.0 * rec.channel_count / (spectrum.energies_J.size - 1)
 
@@ -150,16 +150,16 @@ def test_08_quadratic_interaction_decay(sector_factory):
     us = np.geomspace(60.0, 200.0, 9)
     values = []
     for u in us:
-        lattice, _, spectrum, me = sector_factory(5, 1, float(u))
-        values.append(inelastic_cs_exact(spectrum, me, lattice, PROBE).value)
+        lattice, _, spectrum = sector_factory(5, 1, float(u))
+        values.append(inelastic_cs_exact(spectrum, lattice, PROBE).value)
     slope = float(np.polyfit(np.log(us), np.log(values), 1)[0])
     print(f"measured: log-log slope = {slope:.4f} (want -2.00 +/- 0.05)")
     assert slope == pytest.approx(-2.00, abs=0.05)
 
 
 def test_09_strong_coupling_matches_exact(sector_factory):
-    lattice, _, spectrum, me = sector_factory(6, 1, 100.0)
-    exact = inelastic_cs_exact(spectrum, me, lattice, PROBE)
+    lattice, _, spectrum = sector_factory(6, 1, 100.0)
+    exact = inelastic_cs_exact(spectrum, lattice, PROBE)
     for order in (1, 2):
         sce = inelastic_cs_sce(lattice, PROBE, 100.0, gap_order=order)
         delta = relative_delta(exact.value, sce.value, elastic_kappa(PROBE))
@@ -189,9 +189,9 @@ def test_10_large_lattice_limit():
 @pytest.mark.parametrize("L", [4, 5])
 @pytest.mark.parametrize("u", [1.0, 10.0, 100.0])
 def test_11_weight_free_sum_rule(sector_factory, L, u):
-    lattice, basis, spectrum, weights = sector_factory(L, 1, u)
+    lattice, basis, spectrum = sector_factory(L, 1, u)
     kappa_el = elastic_kappa(PROBE)
-    structure = weights * interference(
+    structure = spectrum.weights * interference(
         kappa_el, 2.0 * math.pi * spectrum.momentum / L, L)
     structure[0] = 0.0
     total = float(structure.sum())

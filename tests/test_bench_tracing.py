@@ -48,3 +48,10 @@ def test_traced_layers_resolve_and_record(tmp_path, monkeypatch):
     assert metrics["spectrum.dense_mb"]["value"] > 0
     assert metrics["spectrum.load_mb"]["value"] > 0
     assert metrics["spectrum.save_mb"]["value"] > 0
+    # the weighing runs after the eigensolve, not inside it: a span of one
+    # under the other would split their self times arbitrarily
+    names = [span["name"] for span in tracer.spans]
+    assert not [span for span in tracer.spans
+                if span["name"] == "spectrum.ground_matrix_elements"
+                and span["parent"] is not None
+                and names[span["parent"]] == "spectrum.eigh"]

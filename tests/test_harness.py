@@ -472,6 +472,14 @@ def test_cli_config_file_errors_exit_2(tmp_path, capsys, no_cache_env):
     bare.write_text("sites 3\n")
     assert main(["exact", "--config", str(bare)]) == 2
     assert "expected 'key = value'" in capsys.readouterr().err
+    # a key that no subcommand's flag stores is refused, not ignored
+    for key in ("u-over-j", "u_over_jj"):
+        unknown = tmp_path / "unknown.cfg"
+        unknown.write_text(f"{key} = 40\n")
+        assert main(["sce", "--sites", "3", "--config", str(unknown)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"mottscope: config file: unknown key {key!r}\n"
+        assert captured.out == ""
 
 
 def test_cli_reads_config_once(tmp_path, monkeypatch, capsys, no_cache_env):
@@ -569,7 +577,7 @@ def point_rows(plan: ScanPlan) -> list[dict]:
                "channel_count": "", "warning": "", "error": ""}
         try:
             if method == "exact":
-                rec = inelastic_cs_exact(*harness._spectrum_unit(plan, L, nu, u),
+                rec = inelastic_cs_exact(harness._spectrum_unit(plan, L, nu, u),
                                          lattice, probe)
             elif method == "sce":
                 rec = inelastic_cs_sce(lattice, probe, u, gap_order=plan.gap_order)

@@ -104,12 +104,12 @@ def test_angle_axis_matches_scalar_angles(sector_factory, monkeypatch):
     # bits of its own scalar call; theta = 0 and pi transfer nothing, so
     # the exact and strong-coupling sums are exactly +0 there
     monkeypatch.setattr(scatter, "ANGLE_BLOCK_ELEMENTS", 64)
-    lattice, _, spectrum, me = sector_factory(5, 1, 10.0)
+    lattice, _, spectrum = sector_factory(5, 1, 10.0)
     thetas = np.array([0.0, 0.99, -0.4, math.pi, 0.99, 2.5, -3.0])
     for ein in (0.2, 2.0, 20.0):
         probe = ProbeSpec(Ein_Er=ein, theta=thetas, mass_ratio=0.7)
         for method in (
-                lambda p: inelastic_cs_exact(spectrum, me, lattice, p),
+                lambda p: inelastic_cs_exact(spectrum, lattice, p),
                 lambda p: inelastic_cs_sce(lattice, p, 10.0, gap_order=2),
                 lambda p: large_l_cs(1, p, lattice.V0_Er, 10.0),
                 lambda p: inelastic_cs_mf(lattice, p, 3.0, condensate_lambda(1, 3.0))):
@@ -120,7 +120,7 @@ def test_angle_axis_matches_scalar_angles(sector_factory, monkeypatch):
                 assert isinstance(one.value, float)
                 assert value == one.value
                 assert (rec.channel_count, rec.warning) == (one.channel_count, one.warning)
-        for method in (lambda p: inelastic_cs_exact(spectrum, me, lattice, p),
+        for method in (lambda p: inelastic_cs_exact(spectrum, lattice, p),
                        lambda p: inelastic_cs_sce(lattice, p, 10.0)):
             values = method(ProbeSpec(Ein_Er=ein, theta=thetas)).value
             assert [math.copysign(1.0, v) for v in values[[0, 3]]] == [1.0, 1.0]
@@ -139,8 +139,8 @@ def test_high_energy_limit_is_density_fluctuation(sector_factory, L, nu, u):
     # at Ein far above the band, every weight -> 1 and kappa_n -> kappa_el,
     # so the inelastic sum collapses to the ground-state fluctuation of rho
     probe = ProbeSpec(Ein_Er=1e6, theta=0.99)
-    lattice, basis, spectrum, me = sector_factory(L, nu, u)
-    rec = inelastic_cs_exact(spectrum, me, lattice, probe)
+    lattice, basis, spectrum = sector_factory(L, nu, u)
+    rec = inelastic_cs_exact(spectrum, lattice, probe)
     expected = (fluct_reference(L, nu, u, probe)
                 * form_factor(elastic_kappa(probe), lattice.V0_Er) ** 2)
     assert rec.value == pytest.approx(expected, rel=1e-6)
@@ -149,18 +149,18 @@ def test_high_energy_limit_is_density_fluctuation(sector_factory, L, nu, u):
 def test_infinite_interaction_kills_inelastic(sector_factory):
     # probe far above the band so channels stay open while the structure
     # weights die off as (J/U)^2
-    lattice, basis, spectrum, me = sector_factory(4, 1, 1e8)
+    lattice, basis, spectrum = sector_factory(4, 1, 1e8)
     probe = ProbeSpec(Ein_Er=1e7, theta=0.99)
-    rec = inelastic_cs_exact(spectrum, me, lattice, probe)
+    rec = inelastic_cs_exact(spectrum, lattice, probe)
     assert rec.channel_count > 0
     assert rec.value < 1e-8
     assert rec.warning == ""
 
 
 def test_no_open_channels(sector_factory):
-    lattice, basis, spectrum, me = sector_factory(4, 1, 50.0)
+    lattice, basis, spectrum = sector_factory(4, 1, 50.0)
     # first excitation costs about U = 50 J = 0.325 E_r; probe below that
-    rec = inelastic_cs_exact(spectrum, me, lattice,
+    rec = inelastic_cs_exact(spectrum, lattice,
                              ProbeSpec(Ein_Er=0.05, theta=0.99))
     assert rec.value == 0.0
     assert rec.channel_count == 0
@@ -168,20 +168,20 @@ def test_no_open_channels(sector_factory):
 
 
 def test_inelastic_reference_point(sector_factory):
-    lattice, basis, spectrum, me = sector_factory(3, 1, 5.0)
-    rec = inelastic_cs_exact(spectrum, me, lattice, PROBE)
+    lattice, basis, spectrum = sector_factory(3, 1, 5.0)
+    rec = inelastic_cs_exact(spectrum, lattice, PROBE)
     assert rec.value == pytest.approx(0.314721626084697, rel=1e-12)
     assert rec.channel_count == 9
 
 
 def test_inelastic_invariances(sector_factory):
-    lattice, basis, spectrum, me = sector_factory(4, 1, 8.0)
+    lattice, basis, spectrum = sector_factory(4, 1, 8.0)
     for ein in (0.1, 0.5, 2.0, 20.0):
         for theta in (0.3, 0.99, 2.0):
             probe = ProbeSpec(Ein_Er=ein, theta=theta)
-            rec = inelastic_cs_exact(spectrum, me, lattice, probe)
+            rec = inelastic_cs_exact(spectrum, lattice, probe)
             mirrored = inelastic_cs_exact(
-                spectrum, me, lattice, ProbeSpec(Ein_Er=ein, theta=-theta))
+                spectrum, lattice, ProbeSpec(Ein_Er=ein, theta=-theta))
             assert rec.value >= 0.0
             # kappa -> -kappa is a reflection; the ring spectrum is parity even
             assert mirrored.value == pytest.approx(rec.value, rel=1e-12, abs=1e-30)
@@ -191,16 +191,16 @@ def test_forward_scattering_elastic_peak(sector_factory):
     # theta = 0 means zero momentum transfer: elastic CS = N^2 / N = nu L,
     # independent of the interaction
     for u in (1.0, 10.0):
-        lattice, basis, spectrum, me = sector_factory(4, 1, u)
-        rec = elastic_cs_exact(spectrum, me, lattice,
+        lattice, basis, spectrum = sector_factory(4, 1, u)
+        rec = elastic_cs_exact(spectrum, lattice,
                                ProbeSpec(Ein_Er=2.0, theta=0.0))
         assert rec.value == pytest.approx(4.0, rel=1e-12)
         assert rec.channel_count == 1
 
 
 def test_elastic_reference_point(sector_factory):
-    lattice, basis, spectrum, me = sector_factory(3, 1, 5.0)
-    rec = elastic_cs_exact(spectrum, me, lattice, PROBE)
+    lattice, basis, spectrum = sector_factory(3, 1, 5.0)
+    rec = elastic_cs_exact(spectrum, lattice, PROBE)
     assert rec.value == pytest.approx(0.12898709833438557, rel=1e-12)
     assert rec.channel_count == 1
 
@@ -212,9 +212,9 @@ def test_quadratic_depletion_scaling(sector_factory):
     sums = []
     us = (60.0, 200.0)
     for u in us:
-        lattice, basis, spectrum, weights = sector_factory(5, 1, u)
+        lattice, basis, spectrum = sector_factory(5, 1, u)
         q_d = 2.0 * math.pi * spectrum.momentum[1:] / 5
-        sums.append((weights[1:] * interference(kel, q_d, 5)).sum() / 5)
+        sums.append((spectrum.weights[1:] * interference(kel, q_d, 5)).sum() / 5)
     slope = (math.log(sums[1]) - math.log(sums[0])) / (math.log(us[1]) - math.log(us[0]))
     assert slope == pytest.approx(-2.0, abs=0.02)
 
@@ -229,13 +229,13 @@ def test_momentum_path_matches_dense_oracle(sector_factory, L, nu, u):
     # the full dense solve with its site phase product, against the
     # momentum-block table; nu = 2 stops at L = 5, where the dense sector
     # (dim 1001) is still cheap
-    lattice, _, spectrum, weights = sector_factory(L, nu, u)
+    lattice, _, spectrum = sector_factory(L, nu, u)
     energies, table = dense_channel_table(boson_states(L, nu * L), u)
     np.testing.assert_allclose(spectrum.energies_J, energies, rtol=0,
                                atol=1e-12 * max(1.0, np.abs(energies).max()))
     for probe in (PROBE, ProbeSpec(Ein_Er=0.5, theta=0.4),
                   ProbeSpec(Ein_Er=20.0, theta=-2.0)):
-        rec = inelastic_cs_exact(spectrum, weights, lattice, probe)
+        rec = inelastic_cs_exact(spectrum, lattice, probe)
         value, count = dense_inelastic_cs(energies, table, lattice.J_Er,
                                           lattice.V0_Er, probe.Ein_Er,
                                           probe.theta)
@@ -247,7 +247,7 @@ def test_momentum_path_matches_dense_oracle(sector_factory, L, nu, u):
         # momentum path is off by 2.9e-12 and the dense one by 4.4e-12.
         near_zero = probe.Ein_Er == 20.0 and u == 100.0
         assert rec.value == pytest.approx(value, rel=1e-11 if near_zero else 1e-12)
-        elastic = elastic_cs_exact(spectrum, weights, lattice, probe)
+        elastic = elastic_cs_exact(spectrum, lattice, probe)
         kel = elastic_kappa(probe)
         dense_elastic = (abs(table[0] @ np.exp(1j * kel * np.arange(L))) ** 2
                          * form_factor(kel, lattice.V0_Er) ** 2 / lattice.N)

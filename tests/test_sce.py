@@ -149,12 +149,12 @@ def test_pair_weights_match_exact_diagonalization(sector_factory):
     # group one-pair band channels by energy and compare their summed
     # structure weights against the dense solution deep in the insulator
     L, nu, u = 5, 1, 200.0
-    lattice, basis, spectrum, weights = sector_factory(L, nu, u)
+    lattice, basis, spectrum = sector_factory(L, nu, u)
     kel = elastic_kappa(PROBE)
     band = slice(1, 1 + L * (L - 1))
     de_band = (spectrum.energies_J - spectrum.energies_J[0])[band]
     q_band = 2.0 * math.pi * spectrum.momentum[band] / L
-    w_exact = weights[band] * interference(kel, q_band, L) / L
+    w_exact = spectrum.weights[band] * interference(kel, q_band, L) / L
 
     q_grid, k_grid = ph_momentum_grids(L)
     jt = 1.0 / u
@@ -188,9 +188,9 @@ def test_pair_weights_match_exact_diagonalization(sector_factory):
 
 
 def test_sce_tracks_exact_on_small_lattice(sector_factory):
-    lattice, basis, spectrum, me = sector_factory(4, 1, 50.0)
+    lattice, basis, spectrum = sector_factory(4, 1, 50.0)
     from mottscope.scatter import inelastic_cs_exact
-    exact = inelastic_cs_exact(spectrum, me, lattice, PROBE)
+    exact = inelastic_cs_exact(spectrum, lattice, PROBE)
     sce = inelastic_cs_sce(lattice, PROBE, 50.0, gap_order=2)
     assert sce.value == pytest.approx(exact.value, rel=0.015)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -7,9 +8,9 @@ import pytest
 from mottscope.config import LatticeSpec
 from mottscope.errors import ConvergenceError
 from mottscope.fock import enumerate_basis
-from mottscope.spectrum import (build_hamiltonian, cache_key, diagonalize,
-                                ground_matrix_elements, lattice_bonds,
-                                load_spectrum, save_spectrum,
+from mottscope.spectrum import (Spectrum, build_hamiltonian, cache_key,
+                                diagonalize, ground_matrix_elements,
+                                lattice_bonds, load_spectrum, save_spectrum,
                                 spectrum_cache_path, translation_orbits)
 
 from oracles import (bloch_block, boson_states, dense_hamiltonian,
@@ -21,6 +22,23 @@ def build(L, nu, u):
     basis = enumerate_basis(L, lattice.N)
     ham = build_hamiltonian(basis, u)
     return lattice, basis, ham
+
+
+def solved_table(ham, basis):
+    return ground_matrix_elements(diagonalize(ham), ham.orbits, basis)
+
+
+def table_rows(spec, block, q):
+    """Table rows of block's states at momentum index q, in block order.
+
+    The table's one stable sort keeps each momentum's states in the stable
+    energy order of their block.
+    """
+    rows = np.flatnonzero(spec.momentum == q)
+    assert rows.size == block.energies.size
+    out = np.empty_like(rows)
+    out[np.argsort(block.energies, kind="stable")] = rows
+    return out
 
 
 def test_lattice_bonds():
@@ -133,65 +151,71 @@ def test_frames_make_every_block_real(L, nu):
                          + [(L, 2) for L in range(2, 6)])
 def test_block_spectra_cover_the_sector(L, nu):
     _, basis, ham = build(L, nu, 7.0)
-    spec = diagonalize(ham)
+    blocks = diagonalize(ham)
+    spec = ground_matrix_elements(blocks, ham.orbits, basis)
     np.testing.assert_allclose(spec.energies_J,
                                np.linalg.eigvalsh(ham.to_dense()),
                                rtol=0, atol=1e-10)
     assert spec.momentum[0] == 0
-    weights = ground_matrix_elements(spec, basis)
-    assert weights[0] == pytest.approx(nu ** 2, abs=1e-12)
-    for block in spec.blocks:
+    assert spec.weights[0] == pytest.approx(nu ** 2, abs=1e-12)
+    for block in blocks:
         m = block.vectors.shape[1]
         if 2 * block.k % L == 0:
             assert m == block.frame.even
             # odd halves: eigenvalues only, and weight exactly 0
-            assert (weights[block.slots[:, m:]] == 0.0).all()
+            rows = table_rows(spec, block, block.k)
+            assert (spec.weights[rows[m:]] == 0.0).all()
         else:
             assert m == block.frame.orbits.size
 
 
 def test_deep_mott_ground_state():
     _, basis, ham = build(4, 1, 1e6)
-    spec = diagonalize(ham)
+    blocks = diagonalize(ham)
+    spec = ground_matrix_elements(blocks, ham.orbits, basis)
     mott = ham.orbits.index[basis.rank_rows(np.array([[1, 1, 1, 1]]))[0]]
-    assert spec.momentum[0] == 0
-    zero = spec.blocks[0]
+    zero = blocks[0]
+    # the table's ground state is the lowest state of the k = 0 even half
+    assert zero.k == 0 and spec.momentum[0] == 0
+    assert spec.energies_J[0] == zero.energies[0]
     ground = zero.frame.bloch_amplitudes(zero.vectors[:, 0])
     assert abs(ground[mott]) > 1.0 - 1e-9
 
 
 def test_diagonalize_properties():
-    _, _, ham = build(4, 1, 6.0)
-    spec = diagonalize(ham)
+    _, basis, ham = build(4, 1, 6.0)
+    blocks = diagonalize(ham)
+    spec = ground_matrix_elements(blocks, ham.orbits, basis)
     assert (np.diff(spec.energies_J) >= 0).all()
     # the table covers the whole sector, with the dense spectrum
     np.testing.assert_allclose(spec.energies_J,
                                np.linalg.eigvalsh(ham.to_dense()),
                                rtol=0, atol=1e-10)
     # every block: residuals, orthonormality, table rows at its momenta
-    assert [b.k for b in spec.blocks] == [0, 1, 2]
-    for block in spec.blocks:
+    assert [b.k for b in blocks] == [0, 1, 2]
+    for block in blocks:
         frame, matrix = ham.frame_block(block.k)
         assert np.array_equal(block.frame.orbits, frame.orbits)
         # vectors span the even half at K = 0 and pi, the whole block otherwise
         m = block.vectors.shape[0]
-        energies = spec.energies_J[block.slots[0, :m]]
-        resid = matrix[:m, :m] @ block.vectors - block.vectors * energies
+        resid = matrix[:m, :m] @ block.vectors - block.vectors * block.energies[:m]
         assert np.abs(resid).max() < 1e-10
         gram = block.vectors.T @ block.vectors
         assert np.abs(gram - np.eye(m)).max() < 1e-12
-        np.testing.assert_allclose(spec.energies_J[block.slots[0, m:]],
+        np.testing.assert_allclose(block.energies[m:],
                                    np.linalg.eigvalsh(matrix[m:, m:]),
                                    rtol=0, atol=1e-10)
-        partners = sorted({block.k, -block.k % 4})
-        for row, k in zip(block.slots, partners):
-            assert (spec.momentum[row] == k).all()
-            assert np.array_equal(spec.energies_J[row], spec.energies_J[block.slots[0]])
-    with pytest.raises(ValueError):
-        spec.energies_J[0] = 0.0
-    table = spec.channel_table()
-    assert table.blocks == () and table.orbits is None
-    assert np.array_equal(table.momentum, spec.momentum)
+        # the K and -K rows carry the block's energies, bit for bit
+        for q in sorted({block.k, -block.k % 4}):
+            assert np.array_equal(spec.energies_J[table_rows(spec, block, q)],
+                                  block.energies)
+    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+        "energies_J", "momentum", "weights"]
+    for column in (spec.energies_J, spec.momentum, spec.weights):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.weights = np.zeros(spec.weights.size)
 
 
 def test_eigensolver_failure_names_the_block(monkeypatch):
@@ -218,8 +242,8 @@ def test_ground_matrix_elements_sum_rules():
     for L, nu, u in [(3, 1, 5.0), (4, 1, 6.0), (5, 1, 0.0), (3, 2, 5.0),
                      (4, 2, 30.0)]:
         _, basis, ham = build(L, nu, u)
-        spec = diagonalize(ham)
-        w = ground_matrix_elements(spec, basis)
+        spec = solved_table(ham, basis)
+        w = spec.weights
         assert w.shape == (len(basis),)
         # ground weight: uniform density nu on a ring
         assert w[0] == pytest.approx(nu ** 2, abs=1e-12)
@@ -236,8 +260,8 @@ def test_ground_matrix_elements_sum_rules():
 def test_ground_matrix_elements_completeness():
     # sum_n w_n e^{-i K_n (j - j')} must equal <0| n_j n_j' |0>
     lattice, basis, ham = build(3, 2, 5.0)
-    spec = diagonalize(ham)
-    w = ground_matrix_elements(spec, basis)
+    spec = solved_table(ham, basis)
+    w = spec.weights
     K = 2.0 * math.pi * spec.momentum / 3
     sep = np.subtract.outer(np.arange(3), np.arange(3))
     corr = (w[:, None, None] * np.exp(-1j * K[:, None, None] * sep)).sum(axis=0)
@@ -250,50 +274,59 @@ def test_ground_matrix_elements_completeness():
 
 def saved_table(tmp_path, L=3, N=3, u=5.0):
     lattice, basis, ham = build(L, N // L, u)
-    spec = diagonalize(ham)
-    weights = ground_matrix_elements(spec, basis)
+    spec = solved_table(ham, basis)
     key = cache_key(u)
     path = spectrum_cache_path(str(tmp_path), L, N, key)
-    save_spectrum(path, L, N, key, spec, weights)
-    return path, spec, weights
+    save_spectrum(path, L, N, key, spec)
+    return path, spec
 
 
 def test_cache_roundtrip_is_bitwise(tmp_path):
-    path, spec, weights = saved_table(tmp_path)
+    path, spec = saved_table(tmp_path)
     key = cache_key(5.0)
     assert key == "5.00000000000e+00"
     assert path.endswith("L3_N3_U5.00000000000e+00.spec")
-    L, N, key2, loaded, loaded_w = load_spectrum(path)
-    assert (L, N, key2) == (3, 3, key)
-    assert np.array_equal(loaded.energies_J, spec.energies_J)
-    assert np.array_equal(loaded.momentum, spec.momentum)
-    assert np.array_equal(loaded_w, weights)
-    assert loaded.blocks == ()
+    loaded = load_spectrum(path, 3, 3, key)
+    for name in ("energies_J", "momentum", "weights"):
+        column = getattr(loaded, name)
+        assert np.array_equal(column, getattr(spec, name))
+        assert column.dtype == getattr(spec, name).dtype
+        assert not column.flags.writeable
     # O(dim) numbers: magic, header, key, three columns, checksum
     assert os.path.getsize(path) == 8 + 20 + len(key) + 20 * 10 + 4
 
 
+def test_load_spectrum_refuses_another_sector(tmp_path):
+    # a checksum-valid entry answers only the request its header names
+    path, _ = saved_table(tmp_path)
+    key = cache_key(5.0)
+    load_spectrum(path, 3, 3, key)
+    for L, N, other_key in ((4, 3, key), (3, 6, key), (3, 3, cache_key(10.0))):
+        with pytest.raises(ValueError, match="another sector"):
+            load_spectrum(path, L, N, other_key)
+
+
 def test_cache_rejects_damaged_files(tmp_path):
-    path, _, _ = saved_table(tmp_path)
+    path, _ = saved_table(tmp_path)
     raw = open(path, "rb").read()
     open(path, "wb").write(b"NOTMAGIC" + raw[8:])
     with pytest.raises(ValueError, match="not a spectrum cache file"):
-        load_spectrum(path)
+        load_spectrum(path, 3, 3, cache_key(5.0))
     # the previous format is not read, so its entries get recomputed
     open(path, "wb").write(b"MWSPEC01" + raw[8:])
     with pytest.raises(ValueError, match="not a spectrum cache file"):
-        load_spectrum(path)
+        load_spectrum(path, 3, 3, cache_key(5.0))
     for cut in (4, 20, len(raw) // 2, len(raw) - 8, len(raw) - 1):
         open(path, "wb").write(raw[:cut])
         with pytest.raises(ValueError):
-            load_spectrum(path)
+            load_spectrum(path, 3, 3, cache_key(5.0))
     open(path, "wb").write(raw + b"\0")
     with pytest.raises(ValueError, match="corrupt"):
-        load_spectrum(path)
+        load_spectrum(path, 3, 3, cache_key(5.0))
 
 
 def test_cache_checksum_catches_every_flipped_bit(tmp_path):
-    path, _, _ = saved_table(tmp_path)
+    path, _ = saved_table(tmp_path)
     raw = bytearray(open(path, "rb").read())
     for pos in range(8, len(raw)):
         for bit in (0, 7):
@@ -301,7 +334,7 @@ def test_cache_checksum_catches_every_flipped_bit(tmp_path):
             flipped[pos] ^= 1 << bit
             open(path, "wb").write(flipped)
             with pytest.raises(ValueError, match="corrupt"):
-                load_spectrum(path)
+                load_spectrum(path, 3, 3, cache_key(5.0))
 
 
 def test_cache_key_distinguishes_nearby_couplings():
