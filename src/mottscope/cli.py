@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Axis flags accept either a comma list ("1,2,5.5") or a range expression
-"start:stop:count" (linear) / "start:stop:count:log" (geometric).  Values
-from --config files fill in wherever the flag was not given explicitly;
-built-in defaults apply last.
+"start:stop:count" (linear) / "start:stop:count:log" (geometric).  Every
+setting resolves in one merge, a flag over the --config file over the
+built-in defaults (MOTTSCOPE_CACHE is the default cache_dir), so a value
+passes the same checks however it was given.
 """
 
 from __future__ import annotations
@@ -17,28 +18,11 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from .config import DEFAULT_J_ER, DEFAULT_V0_ER, read_config_file
-from .errors import RangeError, ValidationError
+from .errors import ValidationError
 from .harness import (CRITICAL_COLUMNS, CSV_COLUMNS, ScanPlan,
                       critical_points_report, rows_to_csv, rows_to_json,
                       run_compare, run_scan)
 from .meanfield import LAMBDA_SOURCES
-
-_DEFAULTS = {
-    "sites": "8",
-    "filling": "1",
-    "u_over_j": "10",
-    "theta": "0.99",
-    "ein": "2.0",
-    "mass_ratio": "1.0",
-    "v0": str(DEFAULT_V0_ER),
-    "j_er": str(DEFAULT_J_ER),
-    "gap_order": "1",
-    "lambda_source": "perturbative",
-    "format": "csv",
-    "jobs": "1",
-    "methods": "exact,sce,mf",
-}
-
 
 def parse_axis(text: str) -> list[float]:
     """Comma list or start:stop:count[:log] range expression."""
@@ -105,26 +89,28 @@ COMMANDS = {
     "critical": "critical couplings per filling",
 }
 
+# Every flag by the key it stores under, with its help and built-in default;
+# a config file takes the same keys.
+FLAGS = {
+    "sites": ("lattice sizes, list or range", "8"),
+    "filling": ("integer fillings, list or range", "1"),
+    "u_over_j": ("interaction axis, list or start:stop:count[:log]", "10"),
+    "theta": ("scattering angles in radians", "0.99"),
+    "ein": ("incoming energies in recoil units", "2.0"),
+    "mass_ratio": ("probe mass over boson mass", "1.0"),
+    "v0": ("lattice depth in recoil units", str(DEFAULT_V0_ER)),
+    "j_er": ("tunneling energy in recoil units", str(DEFAULT_J_ER)),
+    "gap_order": ("sce channel gaps to order 1 or 2", "1"),
+    "lambda_source": ("mf coupling: " + " or ".join(LAMBDA_SOURCES), "perturbative"),
+    "cache_dir": ("spectrum cache directory (default $MOTTSCOPE_CACHE)", None),
+    "jobs": ("spectrum workers", "1"),
+    "methods": ("comma list from exact,sce,sce_largeL,mf", "exact,sce,mf"),
+    "format": ("csv or json", "csv"),
+    "out": ("output path (stdout when omitted)", None),
+    "config": ("key = value file with flag defaults", None),
+}
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    # Defaults stay None so config-file values can be told apart from flags.
-    sub.add_argument("--sites", help="lattice sizes, list or range")
-    sub.add_argument("--filling", help="integer fillings, list or range")
-    sub.add_argument("--u-over-j", dest="u_over_j",
-                     help="interaction axis, list or start:stop:count:log")
-    sub.add_argument("--theta", help="scattering angles in radians")
-    sub.add_argument("--ein", help="incoming energies in recoil units")
-    sub.add_argument("--mass-ratio", dest="mass_ratio")
-    sub.add_argument("--v0", help="lattice depth in recoil units")
-    sub.add_argument("--j-er", dest="j_er", help="tunneling energy in recoil units")
-    sub.add_argument("--gap-order", dest="gap_order", choices=["1", "2"])
-    sub.add_argument("--lambda-source", dest="lambda_source",
-                     choices=LAMBDA_SOURCES)
-    sub.add_argument("--format", choices=["csv", "json"])
-    sub.add_argument("--out", help="output path (stdout when omitted)")
-    sub.add_argument("--cache-dir", dest="cache_dir")
-    sub.add_argument("--jobs", help="spectrum workers")
-    sub.add_argument("--config", help="key = value file with flag defaults")
+FORMATS = ("csv", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,110 +121,96 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, helptext in COMMANDS.items():
         sub = subs.add_parser(name, help=helptext)
-        if name == "critical":
-            sub.add_argument("--filling", help="integer fillings, list")
-            sub.add_argument("--format", choices=["csv", "json"])
-            sub.add_argument("--out")
-            sub.add_argument("--config")
-        else:
-            _add_common_flags(sub)
-            if name == "scan":
-                sub.add_argument("--methods",
-                                 help="comma list from exact,sce,sce_largeL,mf")
+        keys = (["filling", "format", "out", "config"] if name == "critical"
+                else [key for key in FLAGS if key != "methods" or name == "scan"])
+        for key in keys:
+            # no default, so that a flag given is told apart from one left out
+            sub.add_argument("--" + key.replace("_", "-"), help=FLAGS[key][0])
     return parser
 
 
-def _resolve(args: argparse.Namespace, key: str, config: dict) -> str:
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
+def _read_config(path: str) -> dict:
+    """The config file's values; every key must name some subcommand's flag."""
+    config = read_config_file(path)
+    unknown = sorted(set(config) - set(FLAGS))
+    if unknown:
+        raise ValidationError(f"config file: unknown key {unknown[0]!r}")
+    return config
 
 
-def _plan_from_args(args: argparse.Namespace, methods: list[str],
-                    config: dict) -> ScanPlan:
-    def get(key):
-        return _resolve(args, key, config)
+def _settings(args: argparse.Namespace) -> dict:
+    """Flags over the config file over the defaults, each value a string."""
+    defaults = {key: default for key, (_, default) in FLAGS.items()}
+    defaults["cache_dir"] = os.environ.get("MOTTSCOPE_CACHE")
+    if args.command == "critical":
+        defaults["filling"] = "1,2"
+    config = _read_config(args.config) if args.config else {}
+    # argparse drops a lone "--" argument, so it reads --v0=-- as []
+    given = {key: "--" if value == [] else value
+             for key, value in vars(args).items() if value is not None}
+    settings = {**defaults, **config, **given}
+    if settings["format"] not in FORMATS:
+        raise ValidationError(
+            f"format must be one of {FORMATS}, got {settings['format']!r}")
+    return settings
 
+
+def _plan(settings: dict, methods: list[str]) -> ScanPlan:
     def number(key, cast=float):
-        text = get(key)
         try:
-            return cast(text)
+            return cast(settings[key])
         except ValueError as exc:
-            raise ValidationError(f"bad {key} value {text!r}") from exc
+            raise ValidationError(f"bad {key} value {settings[key]!r}") from exc
 
-    cache_dir = get("cache_dir") or os.environ.get("MOTTSCOPE_CACHE") or None
     return ScanPlan(
-        sites=parse_int_axis(get("sites")),
-        fillings=parse_int_axis(get("filling")),
-        u_over_j=parse_axis(get("u_over_j")),
-        thetas=parse_axis(get("theta")),
-        eins=parse_axis(get("ein")),
+        sites=parse_int_axis(settings["sites"]),
+        fillings=parse_int_axis(settings["filling"]),
+        u_over_j=parse_axis(settings["u_over_j"]),
+        thetas=parse_axis(settings["theta"]),
+        eins=parse_axis(settings["ein"]),
         methods=methods,
         gap_order=number("gap_order", int),
-        lambda_source=get("lambda_source"),
+        lambda_source=settings["lambda_source"],
         mass_ratio=number("mass_ratio"),
         v0_er=number("v0"),
         j_er=number("j_er"),
-        cache_dir=cache_dir,
+        cache_dir=settings["cache_dir"] or None,
         jobs=number("jobs", int),
     )
 
 
-def _emit(rows: list[dict], args: argparse.Namespace, config: dict,
-          columns) -> None:
-    fmt = _resolve(args, "format", config)
-    text = (rows_to_json(rows, columns) if fmt == "json"
+def _emit(rows: list[dict], settings: dict, columns) -> None:
+    text = (rows_to_json(rows, columns) if settings["format"] == "json"
             else rows_to_csv(rows, columns))
-    out = getattr(args, "out", None) or config.get("out")
-    if out:
+    out = settings["out"]
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The config file's values; every key must name some subcommand's flag."""
-    config = read_config_file(path)
-    flags = {key for name in COMMANDS for key in vars(parser.parse_args([name]))}
-    unknown = sorted(set(config) - flags - {"command"})
-    if unknown:
-        raise RangeError(f"unknown key {unknown[0]!r}")
-    return config
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _read_config(parser, args.config) if args.config else {}
-    except (OSError, RangeError) as exc:
-        print(f"mottscope: config file: {exc}", file=sys.stderr)
-        return 2
-    try:
+        settings = _settings(args)
         if args.command == "critical":
-            filling = getattr(args, "filling", None) or config.get("filling") or "1,2"
-            rows = critical_points_report(parse_int_axis(filling))
-            _emit(rows, args, config, CRITICAL_COLUMNS)
-            return 0
-        if args.command in ("exact", "sce", "mf"):
-            plan = _plan_from_args(args, [args.command], config)
-            rows = run_scan(plan)
-        elif args.command == "scan":
-            methods_text = _resolve(args, "methods", config)
-            methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-            plan = _plan_from_args(args, methods, config)
-            rows = run_scan(plan)
-        else:  # compare
-            plan = _plan_from_args(args, ["exact", "sce"], config)
-            rows = run_compare(plan)
+            rows = critical_points_report(parse_int_axis(settings["filling"]))
+        elif args.command == "compare":
+            rows = run_compare(_plan(settings, ["exact", "sce"]))
+        else:
+            methods = ([m.strip() for m in settings["methods"].split(",") if m.strip()]
+                       if args.command == "scan" else [args.command])
+            rows = run_scan(_plan(settings, methods))
+        _emit(rows, settings,
+              CRITICAL_COLUMNS if args.command == "critical" else CSV_COLUMNS)
     except ValidationError as exc:
         print(f"mottscope: {exc}", file=sys.stderr)
         return 2
-    _emit(rows, args, config, CSV_COLUMNS)
     return 0
 
 

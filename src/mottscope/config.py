@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RangeError
+from .errors import ValidationError
 
 DEFAULT_V0_ER = 15.0
 DEFAULT_J_ER = 6.5e-3
@@ -45,15 +45,21 @@ def read_config_file(path: str) -> dict:
 
     Blank lines and '#' comments are skipped.  Values are left unparsed;
     the CLI interprets them exactly like the matching command-line flags.
+    A file that cannot be read or parsed raises ValidationError.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"config file: {exc}") from exc
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RangeError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip().lower()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(
+                f"config file: {path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        out[key.strip().lower()] = value.strip()
     return out

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BasisSizeError, NotInBasisError
+from .errors import DomainError
 
 DEFAULT_DIM_CAP = 200_000
 
@@ -56,11 +56,11 @@ class FockBasis:
 def enumerate_basis(L: int, N: int) -> FockBasis:
     """Build the full fixed-N basis in lexicographically decreasing order."""
     if L < 1 or N < 0:
-        raise NotInBasisError(f"need L >= 1 and N >= 0, got L={L}, N={N}")
+        raise DomainError(f"need L >= 1 and N >= 0, got L={L}, N={N}")
     dim = dimension(L, N)
     if dim > DEFAULT_DIM_CAP:
-        raise BasisSizeError(f"basis of (L={L}, N={N}) has dimension {dim}, "
-                             f"above the cap {DEFAULT_DIM_CAP}")
+        raise DomainError(f"basis of (L={L}, N={N}) has dimension {dim}, "
+                          f"above the cap {DEFAULT_DIM_CAP}")
     occ = np.zeros((dim, L), dtype=np.int64)
     row = np.zeros(L, dtype=np.int64)
     row[0] = N

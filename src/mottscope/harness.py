@@ -78,6 +78,8 @@ MAX_FILLING = 1e100
 
 def _check_fillings(fillings) -> None:
     """The filling rule of scans and of the critical-point table."""
+    if not fillings:
+        raise ValidationError("fillings axis must not be empty")
     for nu in fillings:
         if not isinstance(nu, int) or nu < 1:
             raise ValidationError(f"fillings must be integers >= 1, got {nu!r}")
@@ -88,7 +90,7 @@ def _check_fillings(fillings) -> None:
 
 def validate_plan(plan: ScanPlan) -> None:
     """Reject structurally bad plans before any work starts."""
-    for name in ("sites", "fillings", "u_over_j", "thetas", "eins", "methods"):
+    for name in ("sites", "u_over_j", "thetas", "eins", "methods"):
         if not getattr(plan, name):
             raise ValidationError(f"{name} axis must not be empty")
     for method in plan.methods:
@@ -324,9 +326,19 @@ def critical_points_report(nus: list[int]) -> list[dict]:
     return rows
 
 
+def _quote(cell: str) -> str:
+    """RFC 4180: a cell holding a comma, a quote or a line break is quoted."""
+    if any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def rows_to_csv(rows: list[dict], columns=CSV_COLUMNS) -> str:
+    """One line per row; only the free-text error cell can need quoting."""
     lines = [",".join(columns)]
     for row in rows:
+        if row.get("error"):
+            row = {**row, "error": _quote(row["error"])}
         lines.append(",".join(str(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@ import pytest
 
 from mottscope.config import (DEFAULT_J_ER, DEFAULT_V0_ER, LatticeSpec,
                               ProbeSpec, read_config_file)
-from mottscope.errors import RangeError, ValidationError
+from mottscope.errors import ValidationError
 from mottscope.harness import ScanPlan, validate_plan
 
 
@@ -102,5 +102,5 @@ def test_read_config_file(tmp_path):
 def test_read_config_file_rejects_bare_words(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just a line without equals\n")
-    with pytest.raises(RangeError, match="bad.cfg:1"):
+    with pytest.raises(ValidationError, match="config file: .*bad.cfg:1"):
         read_config_file(str(path))

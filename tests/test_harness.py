@@ -1,16 +1,19 @@
 """Scan harness, method comparison, serialization, and the CLI."""
 
+import csv
+import io
 import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mottscope
@@ -505,6 +508,114 @@ def test_cli_emits_error_rows(capsys, no_cache_env):
     row = json.loads(capsys.readouterr().out)[0]
     assert row["error"].startswith("DomainError:")
     assert row["value"] is None
+
+
+def test_csv_quotes_error_cells(capsys, no_cache_env):
+    argv = ["scan", "--sites", "2,3", "--methods", "exact,sce,mf,sce_largeL"]
+    assert main(argv) == 0
+    lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert all(len(line) == len(CSV_COLUMNS) for line in lines)
+    assert [line[-1] for line in lines[1:]] == [row["error"] for row in data]
+    assert any("," in row["error"] for row in data)
+    # a quote is doubled and a line break stays inside the cell
+    row = dict.fromkeys(CSV_COLUMNS, "") | {"error": 'E: "a",\nb'}
+    text = rows_to_csv([row])
+    assert text.endswith(',"E: ""a"",\nb"\n')
+    assert list(csv.reader(io.StringIO(text)))[1][-1] == row["error"]
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["sce", "--gap-order", "3"], "gap_order must be 1 or 2, got 3"),
+    (["sce", "--format", "xml"], "format must be one of ('csv', 'json'), got 'xml'"),
+    (["critical", "--filling", ""], "fillings axis must not be empty"),
+    (["critical", "--filling", " , "], "fillings axis must not be empty"),
+    (["sce", "--sites", "3", "--out", "{missing}"],
+     "cannot write '{missing}': No such file or directory"),
+    (["critical", "--out", "{missing}"],
+     "cannot write '{missing}': No such file or directory"),
+])
+def test_cli_exit_2_with_one_message(argv, err, tmp_path, capsys, no_cache_env):
+    missing = str(tmp_path / "absent" / "x.csv")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mottscope: {err.format(missing=missing)}\n"
+
+
+def flag_and_config_outcomes(command, key, value, tmp_path, capsys):
+    """(exit status, stdout, stderr) with key=value as a flag, then in a config file."""
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    outcomes = []
+    for argv in ([command, f"--{key.replace('_', '-')}={value}"],
+                 [command, "--config", str(cfg)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+# (command, key, a good value, a bad value) for every key a flag can set
+GATE_CASES = [
+    ("sce", "sites", "4", "2.5"),
+    ("sce", "filling", "2", "0"),
+    ("sce", "u_over_j", "5", "-1"),
+    ("sce", "theta", "0.5", "7"),
+    ("sce", "ein", "1.5", "0"),
+    ("sce", "mass_ratio", "2", "heavy"),
+    ("sce", "v0", "10", "inf"),
+    ("sce", "j_er", "0.01", "0"),
+    ("sce", "gap_order", "2", "3"),
+    ("sce", "lambda_source", "iterative", "exact"),
+    ("sce", "format", "json", "xml"),
+    ("sce", "jobs", "2", "0"),
+    ("scan", "methods", "sce,mf", "exact,fft"),
+    ("critical", "filling", "3", ""),
+    ("critical", "filling", "1:3:3", " , "),
+    ("critical", "format", "json", "xml"),
+]
+
+
+@pytest.mark.parametrize("command,key,good,bad", GATE_CASES)
+def test_cli_flag_and_config_pass_one_gate(command, key, good, bad, tmp_path,
+                                           capsys, no_cache_env):
+    (code, out, err), config_form = flag_and_config_outcomes(
+        command, key, good, tmp_path, capsys)
+    assert config_form == (code, out, err) and code == 0 and out and not err
+    (code, out, err), config_form = flag_and_config_outcomes(
+        command, key, bad, tmp_path, capsys)
+    assert config_form == (code, out, err) and code == 2 and not out
+    assert err.startswith("mottscope: ") and err.count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(["mass_ratio", "v0", "j_er", "gap_order",
+                            "lambda_source", "format", "jobs"]),
+       value=st.text(alphabet="0123456789.-+eEinfatjsoxr", max_size=6))
+@example(key="mass_ratio", value="--")  # argparse reads --mass-ratio=-- as []
+def test_cli_scalar_settings_property(key, value, tmp_path, capsys, no_cache_env):
+    # sce makes no worker pool, so any jobs value is safe to run
+    flag_form, config_form = flag_and_config_outcomes(
+        "sce", key, value, tmp_path, capsys)
+    assert flag_form == config_form
+    code, out, err = flag_form
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, no_cache_env):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()  # join continued lines
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("mottscope ")]
+    monkeypatch.chdir(tmp_path)
+    assert [argv[0] for argv in commands] == list(cli.COMMANDS)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "scan.json").read_text())
 
 
 # Captured from the CLI before the three methods shared one open-channel
