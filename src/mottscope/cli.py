@@ -10,6 +10,7 @@ passes the same checks however it was given.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -19,9 +20,9 @@ import numpy as np
 
 from .config import DEFAULT_J_ER, DEFAULT_V0_ER, read_config_file
 from .errors import ValidationError
-from .harness import (CRITICAL_COLUMNS, CSV_COLUMNS, ScanPlan,
+from .harness import (CRITICAL_COLUMNS, CSV_COLUMNS, ScanPlan, check_fillings,
                       critical_points_report, rows_to_csv, rows_to_json,
-                      run_compare, run_scan)
+                      run_compare, run_scan, validate_plan)
 from .meanfield import LAMBDA_SOURCES
 
 def parse_axis(text: str) -> list[float]:
@@ -63,16 +64,17 @@ def parse_int_axis(text: str) -> list[int]:
     """Integer axis; list tokens and linear range ends are read as decimals.
 
     A linear range steps in integers, so its points stay in [start, stop]; a
-    geometric one takes parse_axis's floats.  A value must be integral and
-    within float range, as in every other axis.
+    geometric one takes parse_axis's points between its two ends.  A value
+    must be integral and within float range, as in every other axis.
     """
     if ":" not in text:
         return [_exact_int(tok) for tok in text.split(",") if tok.strip()]
     points = parse_axis(text)  # checks the range form and its count
     parts = text.strip().split(":")
-    if len(parts) == 4:
-        return [_exact_int(x) for x in points]
     start, stop = _exact_int(parts[0]), _exact_int(parts[1])
+    if len(parts) == 4:
+        inner = [_exact_int(x) for x in points[1:-1]]
+        return [start, *inner, stop][:len(points)]   # one point: start alone
     step, rest = divmod(stop - start, max(len(points) - 1, 1))
     if rest:
         raise ValidationError(
@@ -145,8 +147,9 @@ def _settings(args: argparse.Namespace) -> dict:
     if args.command == "critical":
         defaults["filling"] = "1,2"
     config = _read_config(args.config) if args.config else {}
-    # argparse drops a lone "--" argument, so it reads --v0=-- as []
-    given = {key: "--" if value == [] else value
+    # argparse drops a lone "--" argument, so it reads --v0=-- as []; a flag
+    # value is stripped of blanks like a config value
+    given = {key: "--" if value == [] else value.strip()
              for key, value in vars(args).items() if value is not None}
     settings = {**defaults, **config, **given}
     if settings["format"] not in FORMATS:
@@ -179,16 +182,42 @@ def _plan(settings: dict, methods: list[str]) -> ScanPlan:
     )
 
 
-def _emit(rows: list[dict], settings: dict, columns) -> None:
-    text = (rows_to_json(rows, columns) if settings["format"] == "json"
-            else rows_to_csv(rows, columns))
+def _job(args: argparse.Namespace, settings: dict):
+    """The call's checked work, not yet run, and its columns.
+
+    Every check, the exact cache directory's making included, runs before
+    _emit opens --out, so a refused call leaves an existing file as it was.
+    """
+    if args.command == "critical":
+        fillings = parse_int_axis(settings["filling"])
+        check_fillings(fillings)
+        return functools.partial(critical_points_report, fillings), CRITICAL_COLUMNS
+    if args.command == "scan":
+        methods = [m.strip() for m in settings["methods"].split(",") if m.strip()]
+    else:
+        methods = ["exact", "sce"] if args.command == "compare" else [args.command]
+    plan = _plan(settings, methods)
+    validate_plan(plan)
+    if plan.cache_dir and "exact" in methods:
+        try:
+            os.makedirs(plan.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot use cache_dir {plan.cache_dir!r}: "
+                                  f"{exc.strerror or exc}") from exc
+    run = run_compare if args.command == "compare" else run_scan
+    return functools.partial(run, plan), CSV_COLUMNS
+
+
+def _emit(compute_rows, settings: dict, columns) -> None:
+    """Open --out, refused (exit 2) if unusable, then compute and write the rows."""
+    render = rows_to_json if settings["format"] == "json" else rows_to_csv
     out = settings["out"]
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.write(render(compute_rows(), columns))
         return
     try:
         with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(render(compute_rows(), columns))
     except OSError as exc:
         raise ValidationError(
             f"cannot write {out!r}: {exc.strerror or exc}") from exc
@@ -198,16 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = _settings(args)
-        if args.command == "critical":
-            rows = critical_points_report(parse_int_axis(settings["filling"]))
-        elif args.command == "compare":
-            rows = run_compare(_plan(settings, ["exact", "sce"]))
-        else:
-            methods = ([m.strip() for m in settings["methods"].split(",") if m.strip()]
-                       if args.command == "scan" else [args.command])
-            rows = run_scan(_plan(settings, methods))
-        _emit(rows, settings,
-              CRITICAL_COLUMNS if args.command == "critical" else CSV_COLUMNS)
+        compute_rows, columns = _job(args, settings)
+        _emit(compute_rows, settings, columns)
     except ValidationError as exc:
         print(f"mottscope: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Incoming matter wave: energy in E_r, scattering angle, mass ratio m/M."""
+    """Incoming matter wave: energy in E_r, one angle or a 1-D angle axis, m/M."""
 
     Ein_Er: float
     theta: float

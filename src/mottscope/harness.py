@@ -76,7 +76,7 @@ class ScanPlan:
 MAX_FILLING = 1e100
 
 
-def _check_fillings(fillings) -> None:
+def check_fillings(fillings) -> None:
     """The filling rule of scans and of the critical-point table."""
     if not fillings:
         raise ValidationError("fillings axis must not be empty")
@@ -102,7 +102,7 @@ def validate_plan(plan: ScanPlan) -> None:
     for L in plan.sites:
         if not isinstance(L, int) or L < 2:
             raise ValidationError(f"sites must be integers >= 2, got {L!r}")
-    _check_fillings(plan.fillings)
+    check_fillings(plan.fillings)
     for name in ("u_over_j", "thetas", "eins"):
         for x in getattr(plan, name):
             if not math.isfinite(x):
@@ -276,15 +276,17 @@ def run_compare(plan: ScanPlan) -> list[dict]:
     """Exact and strong-coupling rows plus a compare row per grid point.
 
     The compare value is computed from the printed cells, so it follows
-    the CSV to the last digit; the kinematic rule reads the plan's probe,
-    since a printed theta of pi rounds to just above it.
+    the CSV to the last digit; the kinematic rule reads kappa_el from the
+    plan's angles, since a printed theta of pi rounds to just above it.
     """
     base = ScanPlan(**{**plan.__dict__, "methods": ["exact", "sce"]})
     rows = run_scan(base)
-    grid = itertools.product(plan.sites, plan.fillings, plan.u_over_j,
-                             plan.thetas, plan.eins)
+    thetas = np.array(plan.thetas, dtype=float)
+    kappas = np.array([elastic_kappa(ProbeSpec(ein, thetas, plan.mass_ratio))
+                       for ein in plan.eins]).T.ravel().tolist()
     out = []
-    for ex_row, sc_row, (_, _, _, theta, ein) in zip(rows[::2], rows[1::2], grid):
+    # a unit's rows run theta outer and E_in inner, as kappas does
+    for ex_row, sc_row, kappa_el in zip(rows[::2], rows[1::2], itertools.cycle(kappas)):
         out.extend([ex_row, sc_row])
         cmp_row = dict(ex_row)
         cmp_row["method"] = "compare"
@@ -296,9 +298,8 @@ def run_compare(plan: ScanPlan) -> list[dict]:
             cmp_row["value"] = ""
             cmp_row["error"] = "ComparisonError: input row failed"
         else:
-            probe = ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=plan.mass_ratio)
             delta = relative_delta(float(ex_row["value"]), float(sc_row["value"]),
-                                   elastic_kappa(probe))
+                                   kappa_el)
             if delta is None:
                 cmp_row["value"] = ""
                 cmp_row["warning"] = "undefined_delta"
@@ -310,7 +311,7 @@ def run_compare(plan: ScanPlan) -> list[dict]:
 
 def critical_points_report(nus: list[int]) -> list[dict]:
     """Critical couplings per filling from both approximation schemes."""
-    _check_fillings(nus)
+    check_fillings(nus)
     rows = []
     for nu in nus:
         sce_jc = critical_j(nu)

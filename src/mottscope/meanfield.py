@@ -17,8 +17,7 @@ import numpy as np
 
 from .config import LatticeSpec, ProbeSpec
 from .errors import DomainError
-from .scatter import (CrossSectionRecord, angle_sums, form_factor, open_channels,
-                      per_angle)
+from .scatter import CrossSectionRecord, angle_sums, form_factor, open_channels
 
 LAMBDA_SOURCES = ("perturbative", "iterative")
 LAMBDA_VALIDITY = 0.1
@@ -160,7 +159,7 @@ def inelastic_cs_mf(lattice: LatticeSpec, probe: ProbeSpec, u_over_j: float,
         raise DomainError("mean-field pipeline needs U/J > 0")
     lam2 = lam**2
     if lam2 == 0.0:
-        return CrossSectionRecord(per_angle(probe, np.zeros(np.size(probe.theta))), 0)
+        return CrossSectionRecord(np.zeros(np.size(probe.theta)), 0)
     nu = lattice.nu
     mu = mu_fixed_density(nu)
     eps = single_site_energy(nu, mu)
@@ -176,5 +175,4 @@ def inelastic_cs_mf(lattice: LatticeSpec, probe: ProbeSpec, u_over_j: float,
         warning = "no_open_channels"
     elif lam > LAMBDA_VALIDITY:
         warning = "lambda_validity"
-    return CrossSectionRecord(per_angle(probe, sums * (lam2 / nu)), open_count,
-                              warning)
+    return CrossSectionRecord(sums * (lam2 / nu), open_count, warning)

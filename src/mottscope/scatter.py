@@ -9,9 +9,11 @@ cross section is the angular density normalized by N and by the squared
 scattering length, in the diagonal (density-coupling) impulse
 approximation.  Channels with negative kinematic radicand are closed and
 dropped from the sums; open_channels decides which are open for every
-method.  A probe's theta may be one angle or a 1-D array of them: the
-channels open at one E_in are the same at every angle, so angle_sums
-evaluates a method's channel sum over the whole angle axis at once.
+method.  Every cross section runs over an angle axis: a probe's theta is
+a 1-D array of angles, or one angle read as an axis of length 1, and a
+value holds one entry per angle.  The channels open at one E_in are the
+same at every angle, so angle_sums evaluates a method's channel sum over
+the whole axis at once.
 """
 
 from __future__ import annotations
@@ -33,27 +35,20 @@ ANGLE_BLOCK_ELEMENTS = 2 ** 16
 def form_factor(kappa_d, V0_Er: float):
     """Gaussian on-site density profile evaluated at momentum transfer kappa*d."""
     kappa_d = np.asarray(kappa_d, dtype=float)
-    w = np.exp(-kappa_d**2 / (4.0 * math.pi**2 * math.sqrt(V0_Er)))
-    return w if w.ndim else float(w)
+    return np.exp(-kappa_d**2 / (4.0 * math.pi**2 * math.sqrt(V0_Er)))
 
 
-def elastic_kappa(probe: ProbeSpec):
-    """Elastic momentum transfer kappa_el*d; negative for forward angles.
+def elastic_kappa(probe: ProbeSpec) -> np.ndarray:
+    """Elastic momentum transfer kappa_el*d at each angle; negative for forward ones.
 
-    Exactly 0 at theta = 0 and at theta = pi, where math.sin leaves 1.2e-16.
-    An array of angles gives an array with each angle's scalar value, from
-    math.sin: np.sin may differ from it in the last bit.
+    One entry per angle of the axis np.atleast_1d(probe.theta).  Exactly 0
+    at theta = 0 and at theta = pi, where math.sin leaves 1.2e-16.  Each
+    angle goes through math.sin on its own: np.sin may differ from it in
+    the last bit.
     """
-    if np.ndim(probe.theta):
-        return np.array([_kappa_el(theta, probe) for theta in probe.theta],
-                        dtype=float)
-    return _kappa_el(probe.theta, probe)
-
-
-def _kappa_el(theta: float, probe: ProbeSpec) -> float:
-    if theta == math.pi:
-        return 0.0
-    return -math.pi * math.sin(theta) * math.sqrt(probe.mass_ratio * probe.Ein_Er)
+    root = math.sqrt(probe.mass_ratio * probe.Ein_Er)
+    return np.array([0.0 if theta == math.pi else -math.pi * math.sin(theta) * root
+                     for theta in np.atleast_1d(probe.theta).tolist()])
 
 
 def interference(kappa_d, q_d, L: int):
@@ -66,19 +61,19 @@ def interference(kappa_d, q_d, L: int):
     half = np.sin(phi / 2.0)
     small = np.abs(half) < INTERFERENCE_TOL
     denom = np.where(small, 1.0, half**2)
-    out = np.where(small, float(L * L), np.sin(L * phi / 2.0) ** 2 / denom)
-    return out if out.ndim else float(out)
+    return np.where(small, float(L * L), np.sin(L * phi / 2.0) ** 2 / denom)
 
 
 @dataclass
 class CrossSectionRecord:
     """The three cells a scan row prints for one computed cross section.
 
-    value holds one number per angle when the probe's theta is an array;
-    channel_count and warning depend only on E_in, so they are shared.
+    value is a 1-D array with one entry per angle of the probe's theta
+    axis, length 1 for a single angle; channel_count and warning depend
+    only on E_in, so every angle shares them.
     """
 
-    value: float | np.ndarray
+    value: np.ndarray
     channel_count: int
     warning: str = ""
 
@@ -103,9 +98,9 @@ def angle_sums(probe: ProbeSpec, root: np.ndarray, summand):
     summed on their own, in the order of the flattened root grid, so a
     value does not depend on the other angles of the call.  Angles go in
     blocks of at most ANGLE_BLOCK_ELEMENTS elements.  Returns kappa_el and
-    the sums, both one entry per angle (length 1 for a scalar theta).
+    the sums, both one entry per angle of the axis.
     """
-    kappa_el = np.atleast_1d(elastic_kappa(probe))
+    kappa_el = elastic_kappa(probe)
     sums = np.empty(kappa_el.size)
     step = max(1, ANGLE_BLOCK_ELEMENTS // max(root.size, 1))
     for start in range(0, kappa_el.size, step):
@@ -113,11 +108,6 @@ def angle_sums(probe: ProbeSpec, root: np.ndarray, summand):
         terms = summand(np.multiply.outer(block, root))
         sums[start:start + step] = terms.reshape(block.size, -1).sum(axis=1)
     return kappa_el, sums
-
-
-def per_angle(probe: ProbeSpec, values):
-    """values (one per angle) as a record holds them: a float for a scalar theta."""
-    return values if np.ndim(probe.theta) else float(values[0])
 
 
 def _lattice_sum(kappa_d, k, L: int):
@@ -147,8 +137,7 @@ def lattice_channel_sum(excitation_er, weights, momentum, lattice: LatticeSpec,
     open_mask, root = open_channels(excitation_er, probe)
     count = int(np.count_nonzero(open_mask))
     if count == 0:
-        zeros = np.zeros(np.size(probe.theta))
-        return CrossSectionRecord(per_angle(probe, zeros), 0,
+        return CrossSectionRecord(np.zeros(np.size(probe.theta)), 0,
                                   warning="no_open_channels")
     if count < root.size:   # compact to the open channels
         idx = np.flatnonzero(open_mask)
@@ -156,8 +145,8 @@ def lattice_channel_sum(excitation_er, weights, momentum, lattice: LatticeSpec,
     kappa_el, sums = angle_sums(probe, root, lambda kd: (
         root * (weights * _lattice_sum(kd, momentum, lattice.L))
         * form_factor(kd, lattice.V0_Er) ** 2))
-    values = np.where(kappa_el == 0.0, 0.0, sums / lattice.N)
-    return CrossSectionRecord(per_angle(probe, values), count)
+    return CrossSectionRecord(np.where(kappa_el == 0.0, 0.0, sums / lattice.N),
+                              count)
 
 
 def inelastic_cs_exact(spectrum, lattice: LatticeSpec,

@@ -19,7 +19,7 @@ from .config import DEFAULT_J_ER, LatticeSpec, ProbeSpec
 from .errors import DomainError
 from .meanfield import bisect_root
 from .scatter import (CrossSectionRecord, elastic_kappa, form_factor,
-                      lattice_channel_sum, per_angle)
+                      lattice_channel_sum)
 
 _QZERO_TOL = 1e-12
 
@@ -38,21 +38,19 @@ def effective_tunneling(q_d, nu: int):
 
 def tunneling_phase(q_d, nu: int):
     """Branch-safe argument of the pair-hopping amplitude, in (-pi, pi]."""
-    z = np.angle(effective_tunneling(q_d, nu))
-    return z if np.ndim(z) else float(z)
+    return np.angle(effective_tunneling(q_d, nu))
 
 
 def ph_energy_first_order(q_d, k_d, nu: int):
     """First-order pair energy 2 cos(varkappa d) |T_q| in units of U*J_tilde."""
-    out = 2.0 * np.cos(np.asarray(k_d, dtype=float)) * np.sqrt(
+    return 2.0 * np.cos(np.asarray(k_d, dtype=float)) * np.sqrt(
         1.0 + 4.0 * nu * (nu + 1) * np.cos(np.asarray(q_d, dtype=float) / 2.0) ** 2)
-    return out if np.ndim(out) else float(out)
 
 
 def ph_energy_second_order(q_d, k_d, nu: int, L: int):
     """Second-order pair energy coefficient (closed form, valid for L >= 3).
 
-    Accepts scalars or broadcastable numpy grids.  The q = 0 branch carries
+    Takes broadcastable grids of q d and varkappa d.  The q = 0 branch carries
     two extra terms from the uniform intermediate state; they exactly
     compensate the bracket switch, keeping the energy continuous in q.
     """
@@ -76,31 +74,22 @@ def ph_energy_second_order(q_d, k_d, nu: int, L: int):
     boundary -= (2.0 * (nu * nu - 1) / L) * np.cos(z * (L - 2) + 2.0 * q_d)
     boundary += (4.0 * npp / L) * np.cos(z * (L - 2) + q_d) \
         * ((1.0 - delta) * (1.0 + 2.0 * cq) - (L - 3) * delta)
-    out += np.sin(k_d) * np.sin(k_d * (L - 1)) * boundary
-    return out if out.ndim else float(out)
+    return out + np.sin(k_d) * np.sin(k_d * (L - 1)) * boundary
 
 
 def density_matrix_element(q_d, k_d, nu: int, L: int):
     """Leading-order reduced density amplitude between pair state and ground.
 
     The full site-resolved matrix element is J_tilde * sqrt(2 nu (nu+1)) / L
-    times this quantity, times a pure phase in the site index.  Two scalars
-    take a math-module path that skips numpy's 0-d array overhead.
+    times this quantity, times a pure phase in the site index.  q d and
+    varkappa d are broadcastable grids, evaluated elementwise by numpy.
     """
-    if isinstance(q_d, (int, float)) and isinstance(k_d, (int, float)):
-        q, k = float(q_d), float(k_d)
-        z = math.atan2((nu + 1) * math.sin(q), (nu + 1) * math.cos(q) + nu)
-        a, b = 0.5 * q - z, -(0.5 * q + z * (L - 1))
-        return -2j * math.sin(k) * math.sin(0.5 * q) * (
-            complex(math.cos(a), math.sin(a))
-            + math.cos(k * L) * complex(math.cos(b), math.sin(b)))
     q_d = np.asarray(q_d, dtype=float)
     k_d = np.asarray(k_d, dtype=float)
     z = tunneling_phase(q_d, nu)
-    out = -2j * np.sin(k_d) * np.sin(q_d / 2.0) * (
+    return -2j * np.sin(k_d) * np.sin(q_d / 2.0) * (
         np.exp(1j * (q_d / 2.0 - z))
         + np.cos(k_d * L) * np.exp(-1j * (q_d / 2.0 + z * (L - 1))))
-    return out if out.ndim else complex(out)
 
 
 def inelastic_cs_sce(lattice: LatticeSpec, probe: ProbeSpec,
@@ -153,10 +142,10 @@ def large_l_cs(nu: int, probe: ProbeSpec, V0_Er: float, u_over_j: float,
     values = np.array([
         8.0 * (nu + 1) * math.sin(kappa_el / 2.0) ** 2
         * form_factor(kappa_el, V0_Er) ** 2 * j_tilde**2
-        for kappa_el in np.atleast_1d(elastic_kappa(probe)).tolist()])
+        for kappa_el in elastic_kappa(probe).tolist()])
     band_top = u_over_j + 2.0 * math.sqrt(4.0 * nu * (nu + 1) + 1.0)
     warning = "" if probe.Ein_Er / J_Er > band_top else "high_ein_condition"
-    return CrossSectionRecord(per_angle(probe, values), 0, warning)
+    return CrossSectionRecord(values, 0, warning)
 
 
 def _gap_cubic(j_tilde: float, nu: int) -> float:

@@ -129,10 +129,10 @@ def dense_inelastic_cs(energies_j, table, J_Er, V0_Er, Ein_Er, theta,
 
 
 def elastic_cs_exact(spectrum, lattice, probe):
-    """Ground-state channel of a channel table, at the elastic momentum transfer."""
+    """Ground-state channel of a channel table, at each angle's elastic transfer."""
     kappa_el = elastic_kappa(probe)
-    value = float(spectrum.weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
-                  * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
+    value = (spectrum.weights[0] * _lattice_sum(kappa_el, 0, lattice.L)
+             * form_factor(kappa_el, lattice.V0_Er) ** 2 / lattice.N)
     return CrossSectionRecord(value, 1)
 
 

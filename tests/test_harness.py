@@ -544,6 +544,41 @@ def test_cli_exit_2_with_one_message(argv, err, tmp_path, capsys, no_cache_env):
     assert captured.err == f"mottscope: {err.format(missing=missing)}\n"
 
 
+def test_cli_refuses_unusable_paths_before_any_work(tmp_path, monkeypatch,
+                                                    capsys, no_cache_env):
+    # an --out that cannot be opened, or an exact cache directory that cannot
+    # be made, exits 2 before any spectrum unit runs; a refused call leaves
+    # an existing --out file byte for byte as it was
+    def unit(*args):
+        pytest.fail(f"spectrum unit {args[1:]} ran")
+
+    monkeypatch.setattr(harness, "_spectrum_unit", unit)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier,rows\r\n")
+    missing = tmp_path / "absent" / "x.csv"
+    exact = ["exact", "--sites", "4", "--u-over-j", "10"]
+    for argv, err in [
+            (exact + ["--out", str(missing)],
+             f"cannot write {str(missing)!r}: No such file or directory"),
+            (["compare", "--sites", "4", "--out", str(blocker / "x.csv")],
+             f"cannot write {str(blocker / 'x.csv')!r}: Not a directory"),
+            (exact + ["--cache-dir", str(blocker), "--out", str(kept)],
+             f"cannot use cache_dir {str(blocker)!r}: File exists"),
+            (exact + ["--cache-dir", str(blocker / "sub")],
+             f"cannot use cache_dir {str(blocker / 'sub')!r}: Not a directory"),
+            (exact + ["--gap-order", "3", "--out", str(kept)],
+             "gap_order must be 1 or 2, got 3"),
+            (["critical", "--filling", "0", "--out", str(kept)],
+             "fillings must be integers >= 1, got 0")]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"mottscope: {err}\n")
+        assert kept.read_bytes() == b"earlier,rows\r\n"
+    assert not missing.parent.exists()
+
+
 def flag_and_config_outcomes(command, key, value, tmp_path, capsys):
     """(exit status, stdout, stderr) with key=value as a flag, then in a config file."""
     cfg = tmp_path / "one.cfg"
@@ -594,8 +629,9 @@ def test_cli_flag_and_config_pass_one_gate(command, key, good, bad, tmp_path,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(key=st.sampled_from(["mass_ratio", "v0", "j_er", "gap_order",
                             "lambda_source", "format", "jobs"]),
-       value=st.text(alphabet="0123456789.-+eEinfatjsoxr", max_size=6))
+       value=st.text(alphabet="0123456789.-+eEinfatjsoxr ", max_size=6))
 @example(key="mass_ratio", value="--")  # argparse reads --mass-ratio=-- as []
+@example(key="lambda_source", value=" iterative")  # a config value is stripped
 def test_cli_scalar_settings_property(key, value, tmp_path, capsys, no_cache_env):
     # sce makes no worker pool, so any jobs value is safe to run
     flag_form, config_form = flag_and_config_outcomes(
@@ -675,7 +711,7 @@ def test_cli_rows_match_golden(capsys, no_cache_env):
 
 
 def point_rows(plan: ScanPlan) -> list[dict]:
-    """plan's rows, each from its own call with a scalar theta."""
+    """plan's rows, each from its own call at one angle."""
     rows = []
     for L, nu, u, theta, ein, method in itertools.product(
             plan.sites, plan.fillings, plan.u_over_j, plan.thetas, plan.eins,
@@ -701,8 +737,8 @@ def point_rows(plan: ScanPlan) -> list[dict]:
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         else:
-            assert isinstance(rec.value, float)
-            row.update(value=fmt_float(rec.value),
+            (value,) = rec.value
+            row.update(value=fmt_float(value),
                        channel_count=str(rec.channel_count), warning=rec.warning)
         rows.append(row)
     return rows
@@ -809,7 +845,9 @@ def test_cli_reads_integer_fillings_exactly(capsys, no_cache_env):
     # so each row names a filling that was asked for, inside the range
     for filling, nus in (("9007199254740993", [2**53 + 1]), ("1e50", [10**50]),
                          ("9007199254740993:9007199254740995:3",
-                          [2**53 + 1, 2**53 + 2, 2**53 + 3])):
+                          [2**53 + 1, 2**53 + 2, 2**53 + 3]),
+                         ("1:9007199254740993:2:log", [1, 2**53 + 1]),
+                         ("9007199254740993:9007199254740993:1:log", [2**53 + 1])):
         assert main(["critical", "--filling", filling]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == [str(nu) for nu in nus]

@@ -30,6 +30,8 @@ def test_form_factor_values():
 
 
 def test_elastic_kappa():
+    # a single angle is an axis of length 1
+    assert elastic_kappa(PROBE).shape == (1,)
     assert elastic_kappa(PROBE) == pytest.approx(-3.714365556181404, rel=1e-14)
     assert elastic_kappa(ProbeSpec(Ein_Er=0.5, theta=0.3, mass_ratio=0.25)) \
         == pytest.approx(-0.328240421014175, rel=1e-14)
@@ -101,8 +103,9 @@ def test_channel_kinematics():
 
 def test_angle_axis_matches_scalar_angles(sector_factory, monkeypatch):
     # an array of angles, split over several blocks, gives every angle the
-    # bits of its own scalar call; theta = 0 and pi transfer nothing, so
-    # the exact and strong-coupling sums are exactly +0 there
+    # bits of its own one-angle call, whose value is a length-1 axis;
+    # theta = 0 and pi transfer nothing, so the exact and strong-coupling
+    # sums are exactly +0 there
     monkeypatch.setattr(scatter, "ANGLE_BLOCK_ELEMENTS", 64)
     lattice, _, spectrum = sector_factory(5, 1, 10.0)
     thetas = np.array([0.0, 0.99, -0.4, math.pi, 0.99, 2.5, -3.0])
@@ -114,11 +117,11 @@ def test_angle_axis_matches_scalar_angles(sector_factory, monkeypatch):
                 lambda p: large_l_cs(1, p, lattice.V0_Er, 10.0),
                 lambda p: inelastic_cs_mf(lattice, p, 3.0, condensate_lambda(1, 3.0))):
             rec = method(probe)
-            assert rec.value.shape == thetas.shape
+            assert rec.value.shape == thetas.shape and rec.value.dtype == np.float64
             for theta, value in zip(thetas.tolist(), rec.value.tolist()):
                 one = method(ProbeSpec(Ein_Er=ein, theta=theta, mass_ratio=0.7))
-                assert isinstance(one.value, float)
-                assert value == one.value
+                assert isinstance(one.value, np.ndarray) and one.value.shape == (1,)
+                assert value == one.value[0]
                 assert (rec.channel_count, rec.warning) == (one.channel_count, one.warning)
         for method in (lambda p: inelastic_cs_exact(spectrum, lattice, p),
                        lambda p: inelastic_cs_sce(lattice, p, 10.0)):
@@ -194,14 +197,16 @@ def test_forward_scattering_elastic_peak(sector_factory):
         lattice, basis, spectrum = sector_factory(4, 1, u)
         rec = elastic_cs_exact(spectrum, lattice,
                                ProbeSpec(Ein_Er=2.0, theta=0.0))
-        assert rec.value == pytest.approx(4.0, rel=1e-12)
+        assert rec.value.shape == (1,)
+        assert rec.value[0] == pytest.approx(4.0, rel=1e-12)
         assert rec.channel_count == 1
 
 
 def test_elastic_reference_point(sector_factory):
     lattice, basis, spectrum = sector_factory(3, 1, 5.0)
     rec = elastic_cs_exact(spectrum, lattice, PROBE)
-    assert rec.value == pytest.approx(0.12898709833438557, rel=1e-12)
+    assert rec.value.shape == (1,)
+    assert rec.value[0] == pytest.approx(0.12898709833438557, rel=1e-12)
     assert rec.channel_count == 1
 
 
@@ -240,15 +245,16 @@ def test_momentum_path_matches_dense_oracle(sector_factory, L, nu, u):
                                           lattice.V0_Er, probe.Ein_Er,
                                           probe.theta)
         assert rec.channel_count == count
+        (got,) = rec.value
         # at E_in = 20 E_r and U/J = 100 every channel sits near kappa = 4 pi,
         # a zero of the lattice sum: the value is 1e-7 to 1e-5 of its
         # phase-aligned size and follows the last bit of kappa.  At L=2 the
         # two paths differ by 1.5e-12 there; against a 40-digit sum the
         # momentum path is off by 2.9e-12 and the dense one by 4.4e-12.
         near_zero = probe.Ein_Er == 20.0 and u == 100.0
-        assert rec.value == pytest.approx(value, rel=1e-11 if near_zero else 1e-12)
-        elastic = elastic_cs_exact(spectrum, lattice, probe)
-        kel = elastic_kappa(probe)
+        assert got == pytest.approx(value, rel=1e-11 if near_zero else 1e-12)
+        (elastic,) = elastic_cs_exact(spectrum, lattice, probe).value
+        (kel,) = elastic_kappa(probe)
         dense_elastic = (abs(table[0] @ np.exp(1j * kel * np.arange(L))) ** 2
                          * form_factor(kel, lattice.V0_Er) ** 2 / lattice.N)
-        assert elastic.value == pytest.approx(dense_elastic, rel=1e-12)
+        assert elastic == pytest.approx(dense_elastic, rel=1e-12)
